@@ -11,12 +11,13 @@ targets.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hypergraph import InputError, as_fraction
+from .hypergraph import InputError, as_fraction, prefix_cover_counts
 
 __all__ = ["GreedyResult", "GreedyTrace", "forward_greedy", "reverse_greedy"]
 
@@ -36,16 +37,8 @@ class GreedyTrace:
     coverages: tuple[Fraction, ...]
 
 
-def _covered(eval_samples: Sequence[frozenset[int]], included: set[int]) -> int:
-    return sum(1 for s in eval_samples if s <= included)
-
-
 def _normalize(samples: Iterable) -> list[frozenset[int]]:
     return [frozenset(s) for s in samples]
-
-
-def _target_count(phi: Fraction, n_eval: int) -> int:
-    return math.ceil(phi * n_eval)
 
 
 def forward_greedy(
@@ -59,17 +52,13 @@ def forward_greedy(
         raise InputError("evaluation sample set must be nonempty")
     freq = Counter(v for s in train for v in s)
     order = sorted(freq, key=lambda v: (-freq[v], v))
-    included: set[int] = set()
-    coverages = [Fraction(_covered(eval_samples, included), len(eval_samples))]
-    for v in order:
-        included.add(v)
-        coverages.append(Fraction(_covered(eval_samples, included), len(eval_samples)))
+    counts = prefix_cover_counts(order, eval_samples)
+    coverages = [Fraction(c, len(eval_samples)) for c in counts]
     results: dict[Fraction, GreedyResult] = {}
     for raw in targets:
         phi = as_fraction(raw)
-        need = Fraction(_target_count(phi, len(eval_samples)), len(eval_samples))
-        hit = next((i for i, c in enumerate(coverages) if c >= need), None)
-        if hit is None:
+        hit = bisect_left(counts, math.ceil(phi * len(eval_samples)))
+        if hit > len(order):
             results[phi] = GreedyResult(frozenset(order), coverages[-1], False)
         else:
             results[phi] = GreedyResult(frozenset(order[:hit]), coverages[hit], True)
@@ -90,7 +79,6 @@ def reverse_greedy(
     current = set(range(n_vertices))
     intensity = Counter(v for s in alive for v in s)
     deletion: list[int] = []
-    coverages = [Fraction(_covered(eval_samples, current), len(eval_samples))]
     while current:
         v = min(current, key=lambda u: (intensity[u], -u))
         current.remove(v)
@@ -103,18 +91,16 @@ def reverse_greedy(
             else:
                 kept.append(s)
         alive = kept
-        coverages.append(Fraction(_covered(eval_samples, current), len(eval_samples)))
+    # the state after i deletions is the prefix of length n_vertices - i of
+    # the reversed deletion order
+    counts = prefix_cover_counts(deletion[::-1], eval_samples)
+    coverages = [Fraction(c, len(eval_samples)) for c in reversed(counts)]
     results: dict[Fraction, GreedyResult] = {}
     for raw in targets:
         phi = as_fraction(raw)
-        need = Fraction(_target_count(phi, len(eval_samples)), len(eval_samples))
-        # coverage along the peel is non-increasing; keep the deepest state >= need
-        depth = 0
-        for i, c in enumerate(coverages):
-            if c >= need:
-                depth = i
-            else:
-                break
+        # keep the deepest peel state that still meets the target
+        shortest = bisect_left(counts, math.ceil(phi * len(eval_samples)))
+        depth = max(n_vertices - shortest, 0)
         survivors = frozenset(range(n_vertices)) - frozenset(deletion[:depth])
-        results[phi] = GreedyResult(survivors, coverages[depth], coverages[0] >= need)
+        results[phi] = GreedyResult(survivors, coverages[depth], shortest <= n_vertices)
     return results, GreedyTrace(tuple(deletion), tuple(coverages[1:]))

@@ -7,7 +7,6 @@ CHAINCOVER_SEED supplies the default seed where one applies.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -17,19 +16,9 @@ import click
 from . import experiments as xp
 from .chain import nested_chain
 from .compress import select
-from .conformal import (
-    LabeledPair,
-    calibrate,
-    fixed_context_fit,
-)
-from .hypergraph import InputError, InvariantError, WeightedHypergraph, as_fraction
-from .io import (
-    canonical_json,
-    load_chain,
-    load_instance,
-    result_csv,
-    save_chain,
-)
+from .conformal import LabeledPair, calibrate, fixed_context_fit
+from .hypergraph import InputError, InvariantError, as_fraction
+from .io import canonical_json, load_chain, load_instance, load_pairs, result_csv, save_chain
 
 _ENV_SEED = "CHAINCOVER_SEED"
 
@@ -121,21 +110,8 @@ def cmd_calibrate(pairs: str, phi: str, delta: str | None, kappa: str, distance:
     PAIRS holds {"n", "edges", "pairs": [{"a": [...], "b": [...]}, ...]} with
     an optional "split" count for the stage-1 prefix (default: half).
     """
-    doc = _peek_json(pairs)
-    for key in ("n", "edges", "pairs"):
-        if key not in doc:
-            raise InputError(f"{pairs}: missing '{key}'")
-    universe = WeightedHypergraph.build(
-        doc["n"], [(e["v"], e.get("w", 1)) for e in doc["edges"]]
-    )
-    items = [
-        LabeledPair(frozenset(p["a"]), frozenset(p["b"]), universe) for p in doc["pairs"]
-    ]
-    if len(items) < 2:
-        raise InputError(f"{pairs}: need at least two pairs to split")
-    split = doc.get("split", len(items) // 2)
-    if not isinstance(split, int) or not 0 < split < len(items):
-        raise InputError(f"{pairs}: bad split {split}")
+    universe, raw_pairs, split = load_pairs(pairs)
+    items = [LabeledPair(a, b, universe) for a, b in raw_pairs]
     state = calibrate(
         items[:split],
         items[split:],
@@ -189,64 +165,13 @@ def cmd_experiment(kind: str, out: str, seeds: str | None, phi_grid: str | None,
     """Run a generator + methods sweep and write the result CSV to OUT."""
     seed_list = _ints_csv(seeds) if seeds else [_default_seed()]
     phis = _fractions_csv(phi_grid) if phi_grid else list(xp.default_phi_grid())
-    rows: list[xp.ResultRow] = []
     if kind == "adversarial":
-        rows = _adversarial_rows(path_len, parallel, as_fraction(eps), as_fraction(kappa), seed_list)
+        rows = xp.adversarial_rows(path_len, parallel, eps, kappa, seed_list)
     else:
-        methods = ("chain", "forward_greedy", "reverse_greedy")
-        for seed in seed_list:
-            if kind == "grid":
-                data = xp.gen_grid_routes(xp.GridRoutingConfig(), seed)
-            else:
-                data = xp.gen_trip_samples(xp.TripPlanConfig(core_density=alpha), seed)
-            rows.extend(xp.run_comparison(data.n, data.train, data.test, phis, methods, seed))
-        _assert_row_invariants(rows)
+        rows = xp.comparison_rows(kind, seed_list, phis, alpha)
     with open(out, "w") as fh:
         fh.write(result_csv(rows))
     click.echo(f"{len(rows)} rows -> {out}")
-
-
-def _adversarial_rows(a: int, b: int, eps: Fraction, kappa: Fraction,
-                      seeds: list[int]) -> list[xp.ResultRow]:
-    from .baselines import reverse_greedy
-
-    h = xp.gen_adversarial(a, b, eps)
-    tau = 1 - eps
-    chain = nested_chain(h)
-    sel = select(chain, tau, kappa)
-    eval_samples = [e.vertices for e in h.edges]
-    train = list(eval_samples)
-    # evaluation replicates edges proportionally to exact masses so that
-    # covered fraction == covered mass fraction
-    scale = math.lcm(*(e.weight.denominator for e in h.edges))
-    weighted_eval = [
-        s for s, e in zip(eval_samples, h.edges) for _ in range(int(e.weight * scale))
-    ]
-    rev, _ = reverse_greedy(train, weighted_eval, [tau], h.n)
-    rows = []
-    for seed in seeds:
-        cov_chain = 1 - sel.residual / h.total_weight
-        rows.append(xp.ResultRow("chain", tau, len(sel.vertex_set), cov_chain, seed))
-        res = rev[tau]
-        rows.append(xp.ResultRow("reverse_greedy", tau, len(res.vertex_set), res.coverage, seed))
-    if len(sel.vertex_set) != b:
-        raise InvariantError(f"chain selector kept {len(sel.vertex_set)} vertices, wanted {b}")
-    if len(rev[tau].vertex_set) < a:
-        raise InvariantError(f"reverse greedy kept {len(rev[tau].vertex_set)} < {a} vertices")
-    return rows
-
-
-def _assert_row_invariants(rows: list[xp.ResultRow]) -> None:
-    by_method_seed: dict[tuple[str, int], list[xp.ResultRow]] = {}
-    for r in rows:
-        by_method_seed.setdefault((r.method, r.seed), []).append(r)
-    for (method, seed), group in by_method_seed.items():
-        group.sort(key=lambda r: r.phi)
-        for prev, cur in zip(group, group[1:]):
-            if cur.size < prev.size:
-                raise InvariantError(
-                    f"{method} seed {seed}: size decreased from phi={prev.phi} to {cur.phi}"
-                )
 
 
 def main() -> None:

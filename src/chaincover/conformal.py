@@ -15,13 +15,14 @@ order meeting a conformal covered-count level on the second half.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .chain import NestedChain, nested_chain
 from .compress import select, tau_threshold
-from .hypergraph import InputError, WeightedHypergraph, as_fraction
+from .hypergraph import InputError, WeightedHypergraph, as_fraction, prefix_cover_counts
 
 __all__ = [
     "LabeledPair",
@@ -218,16 +219,11 @@ def fixed_context_fit(
     if level > len(second):
         full = frozenset(range(n_vertices))
         return FixedContextFit(full, order, n_vertices, level, Fraction(1), chain)
-    if level <= 0:
-        empty_cov = Fraction(sum(1 for s in second if not s), len(second))
-        return FixedContextFit(frozenset(), order, 0, level, empty_cov, chain)
-    pos = {v: i for i, v in enumerate(order)}
-    last_needed = sorted(max((pos[v] for v in s), default=-1) for s in second)
-    prefix_len = last_needed[level - 1] + 1
-    prefix = frozenset(order[:prefix_len])
-    covered = sum(1 for m in last_needed if m < prefix_len)
+    counts = prefix_cover_counts(order, second)
+    prefix_len = bisect_left(counts, level)
     return FixedContextFit(
-        prefix, order, prefix_len, level, Fraction(covered, len(second)), chain
+        frozenset(order[:prefix_len]), order, prefix_len, level,
+        Fraction(counts[prefix_len], len(second)), chain,
     )
 
 

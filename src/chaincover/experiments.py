@@ -10,13 +10,22 @@ the same seed is bit-identical and train/test splits never share a stream.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .baselines import forward_greedy, reverse_greedy
 from .chain import nested_chain
-from .hypergraph import InputError, WeightedHypergraph, as_fraction
+from .compress import select
+from .hypergraph import (
+    InputError,
+    InvariantError,
+    WeightedHypergraph,
+    as_fraction,
+    prefix_cover_counts,
+)
+from .io import ResultRow
 from .rng import stream
 
 __all__ = [
@@ -24,13 +33,14 @@ __all__ = [
     "TripPlanConfig",
     "GridData",
     "TripData",
-    "ResultRow",
     "default_phi_grid",
     "gen_grid_routes",
     "gen_trip_samples",
     "gen_adversarial",
     "chain_cover",
     "run_comparison",
+    "comparison_rows",
+    "adversarial_rows",
 ]
 
 _TRAIN, _TEST = 0, 1
@@ -225,15 +235,6 @@ def gen_adversarial(a: int, b: int, eps) -> WeightedHypergraph:
 # ---------------------------------------------------------------- comparison
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    method: str
-    phi: Fraction
-    size: int
-    coverage: Fraction
-    seed: int
-
-
 def chain_cover(
     n: int,
     train: Sequence[frozenset[int]],
@@ -249,26 +250,20 @@ def chain_cover(
         raise InputError("evaluation sample set must be nonempty")
     h = WeightedHypergraph.build(n, [(s, 1) for s in train])
     ch = nested_chain(h)
-    covered = [sum(1 for s in test if s <= k) for k in ch.sets]
+    # every chain set is a prefix of this order
+    order = [v for lo, hi in zip((frozenset(),) + ch.sets, ch.sets) for v in sorted(hi - lo)]
+    order += sorted(set(range(n)) - ch.sets[-1])
+    counts = prefix_cover_counts(order, test)
     out: dict[Fraction, tuple[frozenset[int], Fraction]] = {}
-    aug_order = sorted(set(range(n)) - ch.sets[-1])
     for raw in phi_grid:
         phi = as_fraction(raw)
         if not 0 <= phi <= 1:
             raise InputError(f"phi must lie in [0, 1], got {phi}")
-        need = math.ceil(phi * len(test))
-        hit = next((j for j, c in enumerate(covered) if c >= need), None)
-        if hit is not None:
-            out[phi] = (ch.sets[hit], Fraction(covered[hit], len(test)))
-            continue
-        grown = set(ch.sets[-1])
-        count = covered[-1]
-        for v in aug_order:
-            if count >= need:
-                break
-            grown.add(v)
-            count = sum(1 for s in test if s <= grown)
-        out[phi] = (frozenset(grown), Fraction(count, len(test)))
+        shortest = bisect_left(counts, math.ceil(phi * len(test)))
+        k = next((k for k in ch.sets if len(k) >= shortest), None)
+        if k is None:
+            k = frozenset(order[: min(shortest, n)])
+        out[phi] = (k, Fraction(counts[len(k)], len(test)))
     return out
 
 
@@ -298,4 +293,66 @@ def run_comparison(
         for phi, res in results.items():
             rows.append(ResultRow("reverse_greedy", phi, len(res.vertex_set), res.coverage, seed))
     rows.sort(key=lambda r: (r.method, r.phi, r.seed))
+    return rows
+
+
+def comparison_rows(kind: str, seeds: Sequence[int], phi_grid: Sequence,
+                    core_density: float = 0.4) -> list[ResultRow]:
+    """All three methods on fresh grid or trip draws per seed.
+
+    Raises InvariantError when a method's set size shrinks as phi grows.
+    """
+    methods = ("chain", "forward_greedy", "reverse_greedy")
+    rows: list[ResultRow] = []
+    for seed in seeds:
+        if kind == "grid":
+            data = gen_grid_routes(GridRoutingConfig(), seed)
+        elif kind == "trip":
+            data = gen_trip_samples(TripPlanConfig(core_density=core_density), seed)
+        else:
+            raise InputError(f"unknown comparison kind {kind!r}; pick grid or trip")
+        rows.extend(run_comparison(data.n, data.train, data.test, phi_grid, methods, seed))
+    by_method_seed: dict[tuple[str, int], list[ResultRow]] = {}
+    for r in rows:
+        by_method_seed.setdefault((r.method, r.seed), []).append(r)
+    for (method, seed), group in by_method_seed.items():
+        group.sort(key=lambda r: r.phi)
+        for prev, cur in zip(group, group[1:]):
+            if cur.size < prev.size:
+                raise InvariantError(
+                    f"{method} seed {seed}: size decreased from phi={prev.phi} to {cur.phi}"
+                )
+    return rows
+
+
+def adversarial_rows(a: int, b: int, eps, kappa, seeds: Sequence[int]) -> list[ResultRow]:
+    """Chain selector vs reverse greedy on ``gen_adversarial(a, b, eps)`` at tau = 1 - eps.
+
+    Raises InvariantError unless the chain keeps exactly the b singletons and
+    reverse greedy keeps at least the a path vertices.
+    """
+    eps, kappa = as_fraction(eps), as_fraction(kappa)
+    h = gen_adversarial(a, b, eps)
+    tau = 1 - eps
+    chain = nested_chain(h)
+    sel = select(chain, tau, kappa)
+    eval_samples = [e.vertices for e in h.edges]
+    train = list(eval_samples)
+    # evaluation replicates edges proportionally to exact masses so that
+    # covered fraction == covered mass fraction
+    scale = math.lcm(*(e.weight.denominator for e in h.edges))
+    weighted_eval = [
+        s for s, e in zip(eval_samples, h.edges) for _ in range(int(e.weight * scale))
+    ]
+    rev, _ = reverse_greedy(train, weighted_eval, [tau], h.n)
+    rows = []
+    for seed in seeds:
+        cov_chain = 1 - sel.residual / h.total_weight
+        rows.append(ResultRow("chain", tau, len(sel.vertex_set), cov_chain, seed))
+        res = rev[tau]
+        rows.append(ResultRow("reverse_greedy", tau, len(res.vertex_set), res.coverage, seed))
+    if len(sel.vertex_set) != b:
+        raise InvariantError(f"chain selector kept {len(sel.vertex_set)} vertices, wanted {b}")
+    if len(rev[tau].vertex_set) < a:
+        raise InvariantError(f"reverse greedy kept {len(rev[tau].vertex_set)} < {a} vertices")
     return rows

@@ -24,9 +24,9 @@ interchangeable max-flow routes are provided and cross-checked in tests:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .hypergraph import WeightedHypergraph, InvariantError
 
@@ -95,7 +95,9 @@ class _Dinic:
                 return 0
 
             while True:
-                pushed = dfs(s, 1 << 300)
+                # unbounded: a fixed cap would split one augmenting path into
+                # capacity/cap pushes, exponential in the capacity's bit length
+                pushed = dfs(s, math.inf)
                 if not pushed:
                     break
                 flow += pushed
@@ -129,7 +131,7 @@ class LagrangianCutSolver:
         self.const_mass = sum(
             (e.weight for e in h.edges if e.weight > 0 and not e.vertices), Fraction(0)
         )
-        self.denom = lcm(*(e.weight.denominator for e in pos)) if pos else 1
+        self.denom = math.lcm(*(e.weight.denominator for e in pos)) if pos else 1
         self.edge_members: list[tuple[int, ...]] = [tuple(sorted(e.vertices)) for e in pos]
         self.edge_nums: list[int] = [int(e.weight * self.denom) for e in pos]
         self.support: tuple[int, ...] = tuple(sorted({v for m in self.edge_members for v in m}))

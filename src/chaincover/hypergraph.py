@@ -8,9 +8,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
-__all__ = ["Hyperedge", "WeightedHypergraph", "InputError", "InvariantError", "as_fraction"]
+__all__ = [
+    "Hyperedge",
+    "WeightedHypergraph",
+    "InputError",
+    "InvariantError",
+    "as_fraction",
+    "prefix_cover_counts",
+]
 
 
 class InputError(ValueError):
@@ -29,12 +37,15 @@ def as_fraction(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value)
+    try:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return Fraction(value)
+        if isinstance(value, float):
+            return Fraction(str(value))
+        if isinstance(value, str):
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot interpret {value!r} as an exact rational: {exc}") from None
     raise InputError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -66,7 +77,7 @@ class WeightedHypergraph:
             raise InputError(f"vertex count must be non-negative, got {self.n}")
         for e in self.edges:
             for v in e.vertices:
-                if not isinstance(v, int) or not (0 <= v < self.n):
+                if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < self.n):
                     raise InputError(f"vertex id {v!r} outside [0, {self.n})")
             if e.weight < 0:
                 raise InputError(f"negative weight {e.weight}")
@@ -92,3 +103,21 @@ class WeightedHypergraph:
     def residual_weight(self, s: frozenset[int] | set[int]) -> Fraction:
         """Mass not captured by s: total minus induced."""
         return self.total_weight - self.induced_weight(s)
+
+
+def prefix_cover_counts(order: Sequence[int], samples: Iterable[Iterable[int]]) -> list[int]:
+    """counts[i] = number of samples inside order[:i], for i = 0..len(order).
+
+    ``order`` lists distinct vertices; a sample with a vertex outside it is
+    never counted.  The list never decreases, so ``bisect_left(counts, need)``
+    is the shortest prefix covering ``need`` samples (len(order) + 1 if none).
+    O(sum |s| + len(order)).
+    """
+    pos = {v: i for i, v in enumerate(order, 1)}
+    completed = [0] * (len(order) + 1)
+    for s in samples:
+        try:
+            completed[max((pos[v] for v in s), default=0)] += 1
+        except KeyError:
+            continue
+    return list(accumulate(completed))

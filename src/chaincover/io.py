@@ -12,18 +12,20 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
 from .chain import NestedChain
-from .experiments import ResultRow
-from .hypergraph import Hyperedge, InputError, WeightedHypergraph
+from .hypergraph import InputError, WeightedHypergraph, as_fraction
 
 __all__ = [
+    "ResultRow",
     "canonical_json",
     "load_instance",
     "save_instance",
+    "load_pairs",
     "load_chain",
     "save_chain",
     "result_csv",
@@ -33,43 +35,90 @@ __all__ = [
 CSV_HEADER = ("method", "phi", "size", "coverage", "seed")
 
 
+@dataclass(frozen=True)
+class ResultRow:
+    method: str
+    phi: Fraction
+    size: int
+    coverage: Fraction
+    seed: int
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _frac(value: object, where: str) -> Fraction:
     try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, int):
+        if isinstance(value, str) or _is_int(value):
             return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{where}: bad rational {value!r}: {exc}") from None
     raise InputError(f"{where}: rationals must be strings or ints, got {value!r}")
 
 
-def load_instance(path: str | Path) -> tuple[WeightedHypergraph, list[str] | None]:
+def _vertex_list(value: object, where: str) -> list[int]:
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
+        raise InputError(f"{where}: vertices must be a list of ints, got {value!r}")
+    return value
+
+
+def _objects(doc: dict, key: str, where: str) -> list[dict]:
+    """doc[key], which must be a list of JSON objects."""
+    items = doc[key]
+    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+        raise InputError(f"{where}: '{key}' must be a list of objects")
+    return items
+
+
+def _read_doc(path: str | Path, kind: str, keys: Sequence[str]) -> dict:
+    """The JSON object in ``path``, which must hold every key in ``keys``."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read instance {path}: {exc}") from None
-    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
-        raise InputError(f"instance {path}: needs 'n' and 'edges' fields")
+        raise InputError(f"cannot read {kind} {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{kind} {path}: expected a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise InputError(f"{kind} {path}: missing '{key}'")
+    return doc
+
+
+def _hypergraph(doc: dict, where: str, weight) -> WeightedHypergraph:
+    """Hypergraph from the "n" and "edges" fields; ``weight(edge, where)`` reads one mass."""
     n = doc["n"]
-    if not isinstance(n, int) or n < 0:
-        raise InputError(f"instance {path}: 'n' must be a non-negative int")
-    labels = doc.get("vertices")
-    if labels is not None and (not isinstance(labels, list) or len(labels) != n):
-        raise InputError(f"instance {path}: 'vertices' must list {n} labels")
+    if not _is_int(n) or n < 0:
+        raise InputError(f"{where}: 'n' must be a non-negative int")
     edges = []
-    for i, e in enumerate(doc["edges"]):
-        if not isinstance(e, dict) or "v" not in e or "w" not in e:
-            raise InputError(f"instance {path}: edge {i} needs 'v' and 'w'")
-        edges.append((e["v"], _frac(e["w"], f"instance {path}: edge {i}")))
+    for i, e in enumerate(_objects(doc, "edges", where)):
+        at = f"{where}: edge {i}"
+        if "v" not in e:
+            raise InputError(f"{at} needs 'v'")
+        edges.append((_vertex_list(e["v"], at), weight(e, at)))
     try:
-        h = WeightedHypergraph.build(n, edges)
+        return WeightedHypergraph.build(n, edges)
     except InputError as exc:
-        raise InputError(f"instance {path}: {exc}") from None
+        raise InputError(f"{where}: {exc}") from None
+
+
+def load_instance(path: str | Path) -> tuple[WeightedHypergraph, list[str] | None]:
+    doc = _read_doc(path, "instance", ("n", "edges"))
+    where = f"instance {path}"
+
+    def weight(e: dict, at: str) -> Fraction:
+        if "w" not in e:
+            raise InputError(f"{at} needs 'w'")
+        return _frac(e["w"], at)
+
+    h = _hypergraph(doc, where, weight)
+    labels = doc.get("vertices")
+    if labels is not None and (not isinstance(labels, list) or len(labels) != h.n):
+        raise InputError(f"{where}: 'vertices' must list {h.n} labels")
     return h, labels
 
 
@@ -96,23 +145,47 @@ def save_chain(path: str | Path, chain: NestedChain) -> None:
     Path(path).write_text(canonical_json(doc))
 
 
+def load_pairs(path: str | Path) -> tuple[WeightedHypergraph, list[tuple[frozenset[int], frozenset[int]]], int]:
+    """Universe, (prediction, truth) pairs and stage-1 split count of a pairs file.
+
+    The file holds {"n", "edges", "pairs": [{"a": [...], "b": [...]}, ...]};
+    edge weights "w" are optional (default 1) and the "split" count defaults
+    to half the pairs.
+    """
+    doc = _read_doc(path, "pairs file", ("n", "edges", "pairs"))
+    where = f"pairs file {path}"
+    universe = _hypergraph(doc, where, lambda e, at: as_fraction(e.get("w", 1)))
+    pairs = []
+    for i, p in enumerate(_objects(doc, "pairs", where)):
+        at = f"{where}: pair {i}"
+        if "a" not in p or "b" not in p:
+            raise InputError(f"{at} needs 'a' and 'b'")
+        pairs.append((frozenset(_vertex_list(p["a"], at)), frozenset(_vertex_list(p["b"], at))))
+    if len(pairs) < 2:
+        raise InputError(f"{where}: need at least two pairs to split")
+    split = doc.get("split", len(pairs) // 2)
+    if not _is_int(split) or not 0 < split < len(pairs):
+        raise InputError(f"{where}: bad split {split}")
+    return universe, pairs, split
+
+
 def load_chain(path: str | Path) -> NestedChain:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read chain {path}: {exc}") from None
-    for key in ("sets", "breakpoints", "stats"):
-        if key not in doc:
-            raise InputError(f"chain {path}: missing '{key}'")
-    sets = tuple(frozenset(s) for s in doc["sets"])
-    breakpoints = tuple(_frac(b, f"chain {path}") for b in doc["breakpoints"])
-    induced = tuple(_frac(st["induced"], f"chain {path}") for st in doc["stats"])
-    residual_top = _frac(doc["stats"][-1]["residual"], f"chain {path}")
+    doc = _read_doc(path, "chain", ("sets", "breakpoints", "stats"))
+    where = f"chain {path}"
+    if not isinstance(doc["sets"], list) or not isinstance(doc["breakpoints"], list):
+        raise InputError(f"{where}: 'sets' and 'breakpoints' must be lists")
+    stats = _objects(doc, "stats", where)
+    if not stats or not all("induced" in st for st in stats) or "residual" not in stats[-1]:
+        raise InputError(f"{where}: 'stats' must list 'induced' per set and end with 'residual'")
+    sets = tuple(frozenset(_vertex_list(s, where)) for s in doc["sets"])
+    breakpoints = tuple(_frac(b, where) for b in doc["breakpoints"])
+    induced = tuple(_frac(st["induced"], where) for st in stats)
+    residual_top = _frac(stats[-1]["residual"], where)
     chain = NestedChain(sets, breakpoints, induced, induced[-1] + residual_top)
     try:
         chain.validate()
     except Exception as exc:
-        raise InputError(f"chain {path}: {exc}") from None
+        raise InputError(f"{where}: {exc}") from None
     return chain
 
 

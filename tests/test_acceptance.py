@@ -21,7 +21,6 @@ import scipy.stats
 from chaincover import experiments as xp
 from chaincover.baselines import forward_greedy
 from chaincover.chain import nested_chain
-from chaincover.cli import _adversarial_rows
 from chaincover.compress import fractional_solution, select
 from chaincover.conformal import fixed_context_fit
 from chaincover.hypergraph import WeightedHypergraph
@@ -292,7 +291,7 @@ def test_08_adversarial_separation(report):
     notes = []
     ok = True
     for a, b, eps in ((30, 3, Fraction(1, 5)), (100, 5, Fraction(1, 10))):
-        rows = _adversarial_rows(a, b, eps, Fraction(1), [0])
+        rows = xp.adversarial_rows(a, b, eps, Fraction(1), [0])
         sizes = {r.method: r.size for r in rows}
         ok = ok and sizes["chain"] == b and sizes["reverse_greedy"] >= a
         notes.append(f"a={a},b={b}: chain {sizes['chain']}, reverse {sizes['reverse_greedy']}")

@@ -12,9 +12,10 @@ from click.testing import CliRunner
 
 import chaincover
 from chaincover.chain import nested_chain
-from chaincover.cli import _adversarial_rows, cli
+from chaincover.cli import cli, main
 from chaincover.compress import select
 from chaincover.conformal import LabeledPair, calibrate, fixed_context_fit
+from chaincover.experiments import adversarial_rows
 from chaincover.hypergraph import WeightedHypergraph
 from chaincover.io import (
     canonical_json,
@@ -163,7 +164,7 @@ def test_experiment_adversarial_csv(runner, tmp_path):
          "--path-len", "6", "--parallel", "2", "--eps", "1/4", "--seeds", "0,3"],
     )
     assert result.exit_code == 0
-    rows = _adversarial_rows(6, 2, Fraction(1, 4), Fraction(1), [0, 3])
+    rows = adversarial_rows(6, 2, Fraction(1, 4), Fraction(1), [0, 3])
     assert out.read_text() == result_csv(rows)
 
 
@@ -253,3 +254,29 @@ def test_env_seed_default(tmp_path):
     )
     assert proc.returncode == 1
     assert "input error" in proc.stderr
+
+
+MALFORMED = {
+    "edges-not-a-list": (["chain", "doc.json", "out.json"], {"n": 2, "edges": 7}),
+    "vertices-not-a-list": (["chain", "doc.json", "out.json"],
+                            {"n": 2, "edges": [{"v": 5, "w": "1"}]}),
+    "bool-vertex-id": (["chain", "doc.json", "out.json"],
+                       {"n": 2, "edges": [{"v": [True], "w": "1"}]}),
+    "bool-weight": (["chain", "doc.json", "out.json"],
+                    {"n": 2, "edges": [{"v": [0], "w": True}]}),
+    "empty-chain-stats": (["compress", "doc.json", "--tau", "1/2"],
+                          {"sets": [[]], "breakpoints": [], "stats": []}),
+    "pair-edge-without-v": (["calibrate", "doc.json", "--phi", "1/2"],
+                            {"n": 1, "edges": [{"w": 1}], "pairs": [{"a": [0], "b": [0]}] * 2}),
+}
+
+
+@pytest.mark.parametrize("args, doc", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_file_is_an_input_error(tmp_path, monkeypatch, capsys, args, doc):
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["chaincover", *args])
+    with pytest.raises(SystemExit) as stop:
+        main()
+    assert stop.value.code == 1
+    assert capsys.readouterr().err.startswith("input error:")

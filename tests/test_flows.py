@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaincover
 from chaincover import WeightedHypergraph
 from chaincover.flows import LagrangianCutSolver
 
@@ -101,3 +107,40 @@ def test_zero_weight_edges_stay_out_of_network():
     assert len(solver.edge_members) == 1
     res = solver.solve(Fraction(5))
     assert res.vertex_set == frozenset({0, 1})
+
+
+# Built in a child process so that a solver that hangs fails on the timeout
+# instead of stalling the suite.  A fixed cap per augmenting path made the
+# first instance take time linear in 3**400 / cap.
+_HUGE_CAPACITIES = """
+import json, random
+from fractions import Fraction
+from chaincover import WeightedHypergraph, nested_chain
+
+tiny = nested_chain(WeightedHypergraph.build(2, [([0, 1], Fraction(1, 3**400))]), method="dinic")
+primes = [p for p in range(2, 2000) if all(p % q for q in range(2, int(p**0.5) + 1))][:300]
+rnd = random.Random(5)
+h = WeightedHypergraph.build(
+    40, [(rnd.sample(range(40), rnd.randint(1, 4)), Fraction(rnd.randint(1, 9), p)) for p in primes]
+)
+print(json.dumps({
+    "tiny_sets": [sorted(s) for s in tiny.sets],
+    "tiny_breakpoints": [str(b) for b in tiny.breakpoints],
+    "primes_agree": nested_chain(h, method="dinic") == nested_chain(h, method="auto"),
+}))
+"""
+
+
+def test_dinic_handles_huge_capacities():
+    env = dict(os.environ)
+    root = str(Path(chaincover.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HUGE_CAPACITIES],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["tiny_sets"] == [[], [0, 1]]
+    assert got["tiny_breakpoints"] == [str(2 * 3**400)]
+    assert got["primes_agree"]

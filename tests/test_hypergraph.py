@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chaincover import Hyperedge, InputError, WeightedHypergraph, as_fraction
+from chaincover.hypergraph import prefix_cover_counts
 
 
 def test_as_fraction_exact_forms():
@@ -24,6 +25,10 @@ def test_as_fraction_rejects_junk():
         as_fraction(object())
     with pytest.raises(InputError):
         as_fraction(None)
+    with pytest.raises(InputError):
+        as_fraction(True)
+    with pytest.raises(InputError):
+        as_fraction("1/0")
 
 
 def test_build_rejects_bad_input():
@@ -33,6 +38,10 @@ def test_build_rejects_bad_input():
         WeightedHypergraph.build(3, [({0, 3}, 1)])  # id 3 out of range
     with pytest.raises(InputError):
         WeightedHypergraph.build(3, [({0}, Fraction(-1, 2))])
+    with pytest.raises(InputError):
+        WeightedHypergraph.build(3, [({True}, 1)])  # bool is not a vertex id
+    with pytest.raises(InputError):
+        WeightedHypergraph.build(3, [({0}, True)])
     with pytest.raises(InputError):
         Hyperedge(frozenset({0}), Fraction(-1))
 
@@ -87,3 +96,14 @@ def test_induced_monotone_under_inclusion(case):
     assert h.induced_weight(s) <= h.induced_weight(frozenset(range(h.n)))
     for v in range(h.n):
         assert h.induced_weight(s) <= h.induced_weight(s | {v})
+
+
+@given(
+    st.lists(st.integers(0, 7), unique=True),
+    st.lists(st.frozensets(st.integers(0, 9), max_size=4), max_size=12),
+)
+def test_prefix_cover_counts_matches_brute_force(order, samples):
+    # ids 8 and 9 never enter the order; repeating the first samples adds duplicates
+    samples = samples + samples[:3] + [frozenset()]
+    counts = prefix_cover_counts(order, samples)
+    assert counts == [sum(s <= set(order[:i]) for s in samples) for i in range(len(order) + 1)]

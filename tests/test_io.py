@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from chaincover.chain import nested_chain
-from chaincover.experiments import ResultRow
 from chaincover.hypergraph import InputError, WeightedHypergraph
 from chaincover.io import (
+    ResultRow,
     canonical_json,
     load_chain,
     load_instance,
@@ -80,6 +80,13 @@ def test_instance_load_errors(tmp_path):
         {"n": 2, "edges": [{"v": [0], "w": 0.5}]},
         {"n": 2, "edges": [{"v": [0], "w": "1/0"}]},
         {"n": 2, "edges": [{"v": [9], "w": "1"}]},
+        {"n": 2, "edges": [{"v": [0], "w": True}]},
+        {"n": 2, "edges": [{"v": [True], "w": "1"}]},
+        {"n": True, "edges": []},
+        {"n": 2, "edges": 7},
+        {"n": 2, "edges": [7]},
+        {"n": 2, "edges": [{"v": 5, "w": "1"}]},
+        {"n": 2, "edges": [{"v": [[0, 1]], "w": "1"}]},
     ):
         bad.write_text(json.dumps(doc))
         with pytest.raises(InputError):
@@ -123,6 +130,10 @@ def test_chain_load_rejects_tampering(tmp_path, three_path_instance):
     # shrinking a set breaks the induced-mass bookkeeping
     corrupt(lambda d: d["sets"].__setitem__(1, d["sets"][1][:-1]))
     corrupt(lambda d: d.__setitem__("breakpoints", list(reversed(d["breakpoints"]))))
+    corrupt(lambda d: d.__setitem__("stats", []))
+    corrupt(lambda d: d["stats"][-1].pop("residual"))
+    corrupt(lambda d: d["sets"].__setitem__(1, 5))
+    corrupt(lambda d: d.__setitem__("breakpoints", 3))
 
 
 def test_result_csv_frozen():

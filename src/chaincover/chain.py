@@ -8,6 +8,12 @@ at most 2k+1 max-flow calls by divide and conquer on multiplier intervals:
 probe the intersection of the value lines of the two bracketing sets; if the
 minimal minimizer at the probe equals the lower set, the probe is the single
 breakpoint between them, otherwise the probe's minimizer splits the interval.
+
+Because minimal minimizers grow with lam, the minimizer at a probe lies
+between its two brackets, so each probe solves only the subnetwork of the
+vertices between them (``LagrangianCutSolver.solve`` with ``lo``/``hi``).
+Only the top probe, which has no brackets, and the first split between the
+empty set and the full support solve the whole network.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
     solver = LagrangianCutSolver(h)
     base_induced = solver.const_mass  # empty-vertex hyperedges sit inside every set
     if not solver.edge_members:
-        chain = NestedChain((frozenset(),), (), (base_induced,), h.total_weight)
+        chain = NestedChain((frozenset(),), (), (base_induced,), solver.total)
         chain.validate()
         return chain
 
@@ -104,7 +110,7 @@ def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
 
     def recurse(lo: frozenset[int], hi: frozenset[int]) -> None:
         lam = Fraction(len(hi) - len(lo)) / (induced(hi) - induced(lo))
-        mid = solver.solve(lam, method).vertex_set
+        mid = solver.solve(lam, method, lo, hi).vertex_set
         if mid == lo:
             breaks.append((lam, hi))
             return
@@ -123,7 +129,7 @@ def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
         sets=sets,
         breakpoints=tuple(lam for lam, _ in breaks),
         induced=tuple(induced(s) for s in sets),
-        total=h.total_weight,
+        total=solver.total,
     )
     chain.validate()
     return chain

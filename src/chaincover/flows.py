@@ -12,12 +12,25 @@ when all its vertices do, so cut value = lam * (W - e(K)) + |K|, i.e.
 Phi(K, lam) + lam * W.  The source-reachable set of the residual graph of any
 maximum flow yields the unique inclusion-minimal minimizer.
 
+Contracted probes.  Minimal minimizers are monotone in lam: the one at lam
+contains the one at any smaller multiplier and lies inside the one at any
+larger one.  So when the minimizer at lam is known to lie between two sets
+lo <= hi (the brackets of a chain probe), K = lo + X with X inside hi - lo,
+and Phi(K, lam) = |lo| - lam * e(lo) + |X| - lam * (e(lo + X) - e(lo)).
+The last term only involves hyperedges inside hi but not inside lo, each
+captured when its members outside lo all lie in X.  The probe therefore
+solves the network of those hyperedges (arcs only to members outside lo) and
+the vertices of hi - lo, and adds the constant back.  The arc structure is
+built once per solver; each probe selects its subnetwork from it.
+
 All capacities are scaled to exact integers: weights share a common
-denominator D, lam = p/q, and every capacity is multiplied by q*D.  Two
-interchangeable max-flow routes are provided and cross-checked in tests:
+denominator D, lam = p/q, every capacity is multiplied by q*D and then
+divided by the gcd of all of them.  Two interchangeable max-flow routes are
+provided and cross-checked in tests:
 
 * ``scipy``: scipy.sparse.csgraph.maximum_flow on int32 capacities (fast path,
-  used automatically when the scaled capacities fit);
+  used automatically when the scaled capacities fit; forcing it on a probe
+  whose capacities do not fit is an ``InputError``);
 * ``dinic``: a pure-Python Dinic on arbitrary-precision integers (reference
   route, always applicable).
 """
@@ -28,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hypergraph import WeightedHypergraph, InvariantError
+from .hypergraph import InputError, InvariantError, WeightedHypergraph
 
 __all__ = ["CutResult", "LagrangianCutSolver"]
 
@@ -43,7 +56,8 @@ class CutResult:
     cut_value: Fraction          # min_K Phi(K, lam) + lam * W
     phi: Fraction                # Phi(K, lam) of the minimal minimizer
     vertex_set: frozenset[int]   # inclusion-minimal minimizer
-    route: str                   # "scipy" or "dinic"
+    route: str                   # "scipy", "dinic" or "trivial" (no network)
+    arcs: int                    # arcs of the network actually solved
 
 
 class _Dinic:
@@ -117,112 +131,128 @@ class _Dinic:
 class LagrangianCutSolver:
     """Immutable per-hypergraph scaffolding for repeated multiplier solves.
 
-    Node layout: 0 = source, 1 = sink, 2..2+m-1 = hyperedge nodes,
-    2+m.. = vertex nodes for covered vertices only (vertices on no positive
-    hyperedge can never enter a minimal minimizer).
+    The arc structure is built once, as numpy arrays: edge->vertex arc ``a``
+    runs from positive hyperedge ``_arc_edge[a]`` to the vertex at support
+    index ``_arc_vertex[a]``, arcs grouped by hyperedge.  Vertices on no
+    positive hyperedge can never enter a minimal minimizer and get no node.
+    Each probe selects and renumbers its (sub)network from these arrays:
+    0 = source, 1 = sink, then the kept hyperedges, then the free vertices.
     """
 
     def __init__(self, h: WeightedHypergraph):
+        import numpy as np
+
         self.h = h
-        self.total = h.total_weight
-        pos = [e for e in h.edges if e.weight > 0 and e.vertices]
+        pos = [e for e in h.edges if e.weight and e.vertices]
         # mass of positive empty-vertex hyperedges: induced by every set,
         # constant in K, so it never enters the network
-        self.const_mass = sum(
-            (e.weight for e in h.edges if e.weight > 0 and not e.vertices), Fraction(0)
-        )
-        self.denom = math.lcm(*(e.weight.denominator for e in pos)) if pos else 1
+        empty = [e.weight for e in h.edges if e.weight and not e.vertices]
+        self.const_mass = sum(empty, Fraction(0))
+        self.denom = math.lcm(*(e.weight.denominator for e in pos))
         self.edge_members: list[tuple[int, ...]] = [tuple(sorted(e.vertices)) for e in pos]
-        self.edge_nums: list[int] = [int(e.weight * self.denom) for e in pos]
+        self.edge_nums: list[int] = [
+            e.weight.numerator * (self.denom // e.weight.denominator) for e in pos
+        ]
         self.support: tuple[int, ...] = tuple(sorted({v for m in self.edge_members for v in m}))
-        self._vnode = {v: 2 + len(pos) + i for i, v in enumerate(self.support)}
-        self.n_nodes = 2 + len(pos) + len(self.support)
-        self.min_positive = min(
-            (e.weight for e in h.edges if e.weight > 0), default=Fraction(0)
+        self.total = Fraction(sum(self.edge_nums), self.denom) + self.const_mass
+        lightest = [Fraction(min(self.edge_nums), self.denom)] if pos else []
+        self.min_positive = min(lightest + empty, default=Fraction(0))
+        index = {v: i for i, v in enumerate(self.support)}
+        sizes = [len(m) for m in self.edge_members]
+        self._arc_edge = np.repeat(np.arange(len(pos)), sizes)
+        self._arc_vertex = np.array(
+            [index[v] for m in self.edge_members for v in m], dtype=np.intp
         )
+        self._edge_start = np.cumsum([0] + sizes[:-1])
+        self._vertices = np.array(self.support, dtype=np.intp)
+        self._index = np.full(h.n, -1, dtype=np.intp)
+        self._index[self._vertices] = np.arange(len(self.support))
 
-    def _capacities(self, lam: Fraction) -> tuple[list[int], int, int]:
-        """Integer arc capacities scaled by lam.denominator * denom."""
-        p, q = lam.numerator, lam.denominator
-        src = [p * a for a in self.edge_nums]
-        sink = q * self.denom
-        inf = sum(src) + sink * len(self.support) + 1
-        return src, sink, inf
+    def _mask(self, vs: frozenset[int]):
+        """Boolean mask over support indices of the support vertices in vs."""
+        import numpy as np
 
-    def solve(self, lam: Fraction, method: str = "auto") -> CutResult:
+        mask = np.zeros(len(self.support), dtype=bool)
+        idx = self._index[np.fromiter(vs, dtype=np.intp, count=len(vs))]
+        mask[idx[idx >= 0]] = True
+        return mask
+
+    def solve(
+        self,
+        lam: Fraction,
+        method: str = "auto",
+        lo: frozenset[int] = frozenset(),
+        hi: frozenset[int] | None = None,
+    ) -> CutResult:
+        """Minimal minimizer of Phi(K, lam) over lo <= K <= hi (hi=None: any K).
+
+        The caller guarantees that the unconstrained minimal minimizer lies
+        between ``lo`` and ``hi``, as chain brackets do; the result then
+        equals the unconstrained solve, found on the contracted network of
+        the module docstring.
+        """
+        import numpy as np
+
         if lam < 0:
             raise ValueError(f"multiplier must be non-negative, got {lam}")
+        if method not in ("auto", "scipy", "dinic"):
+            raise ValueError(f"unknown max-flow route {method!r}")
+        if hi is not None and not lo <= hi:
+            raise ValueError("lower bracket is not inside the upper bracket")
         if not self.edge_members:
             phi = -lam * self.const_mass
-            return CutResult(lam, phi + lam * self.total, phi, frozenset(), "trivial")
-        src, sink_cap, inf = self._capacities(lam)
+            return CutResult(lam, phi + lam * self.total, phi, frozenset(), "trivial", 0)
+
+        in_lo = self._mask(lo)
+        in_hi = np.ones(len(self.support), dtype=bool) if hi is None else self._mask(hi)
+        inside_lo = np.logical_and.reduceat(in_lo[self._arc_vertex], self._edge_start)
+        inside_hi = np.logical_and.reduceat(in_hi[self._arc_vertex], self._edge_start)
+        keep = inside_hi & ~inside_lo
+        free = in_hi & ~in_lo
+        mid = keep[self._arc_edge] & ~in_lo[self._arc_vertex]
+        kept = np.flatnonzero(keep)
+        # node ids: kept hyperedges from 2, free vertices after them
+        enode = np.cumsum(keep) + 1
+        vnode = np.cumsum(free) + 1 + len(kept)
+        free_ids = np.flatnonzero(free)
+        n_nodes = 2 + len(kept) + len(free_ids)
+        rows = np.concatenate(([0] * len(kept), enode[self._arc_edge[mid]], vnode[free_ids]))
+        cols = np.concatenate((enode[kept], vnode[self._arc_vertex[mid]], [1] * len(free_ids)))
+
+        # integer capacities: lam * w_e and 1 scaled by q * denom, then
+        # divided by their gcd g, which leaves the cuts and the flows' residual
+        # reachability unchanged and lets more probes fit int32
+        p, q = lam.numerator, lam.denominator
+        nums = [self.edge_nums[i] for i in kept.tolist()]
+        g = math.gcd(p * math.gcd(*nums), q * self.denom)
+        src = [p * a // g for a in nums]
+        sink_cap = q * self.denom // g
+        inf = sum(src) + sink_cap * len(free_ids) + 1  # exceeds every finite cut
+        n_mid = int(np.count_nonzero(mid))
+        caps = src + [inf] * n_mid + [sink_cap] * len(free_ids)
         if method == "auto":
-            method = "scipy" if max(max(src, default=0), sink_cap, inf) <= _INT32_MAX else "dinic"
+            method = "scipy" if inf <= _INT32_MAX else "dinic"
         if method == "scipy":
-            scaled_cut, reach = self._solve_scipy(src, sink_cap, inf)
-        elif method == "dinic":
-            scaled_cut, reach = self._solve_dinic(src, sink_cap, inf)
+            if inf > _INT32_MAX:
+                raise InputError(
+                    f"route 'scipy' cannot solve at lam={lam}: capacities up to {inf} "
+                    "exceed int32; use route 'dinic' or 'auto'"
+                )
+            cut, reach = _max_flow_scipy(rows, cols, np.array(caps, dtype=np.int32), n_nodes)
         else:
-            raise ValueError(f"unknown max-flow route {method!r}")
-        k = frozenset(v for v in self.support if self._vnode[v] in reach)
-        scale = lam.denominator * self.denom
-        cut_value = Fraction(scaled_cut, scale)
-        phi = cut_value - lam * self.total
+            net = _Dinic(n_nodes)
+            for u, v, c in zip(rows.tolist(), cols.tolist(), caps):
+                net.add(u, v, c)
+            cut = net.max_flow(0, 1)
+            reach = np.fromiter(net.source_side(0), dtype=np.intp)
+        reached = self._vertices[free_ids[reach[reach >= 2 + len(kept)] - 2 - len(kept)]]
+        k = lo | frozenset(reached.tolist())
+        e_lo = sum(self.edge_nums[i] for i in np.flatnonzero(inside_lo).tolist())
+        phi = Fraction(cut * g - p * (sum(nums) + e_lo), q * self.denom) + len(lo)
+        if self.const_mass:
+            phi -= lam * self.const_mass
         self._check(lam, phi, k)
-        return CutResult(lam, cut_value, phi, k, method)
-
-    def _solve_dinic(self, src: list[int], sink_cap: int, inf: int) -> tuple[int, set[int]]:
-        net = _Dinic(self.n_nodes)
-        for i, members in enumerate(self.edge_members):
-            if src[i] > 0:
-                net.add(0, 2 + i, src[i])
-            for v in members:
-                net.add(2 + i, self._vnode[v], inf)
-        for v in self.support:
-            net.add(self._vnode[v], 1, sink_cap)
-        cut = net.max_flow(0, 1)
-        return cut, net.source_side(0)
-
-    def _solve_scipy(self, src: list[int], sink_cap: int, inf: int) -> tuple[int, set[int]]:
-        import numpy as np
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import maximum_flow
-
-        rows, cols, caps = [], [], []
-        for i, members in enumerate(self.edge_members):
-            if src[i] > 0:
-                rows.append(0)
-                cols.append(2 + i)
-                caps.append(src[i])
-            for v in members:
-                rows.append(2 + i)
-                cols.append(self._vnode[v])
-                caps.append(inf)
-        for v in self.support:
-            rows.append(self._vnode[v])
-            cols.append(1)
-            caps.append(sink_cap)
-        graph = csr_matrix(
-            (np.asarray(caps, dtype=np.int32), (rows, cols)),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-        res = maximum_flow(graph, 0, 1)
-        flow = res.flow.todok()
-        residual: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for u, v, c in zip(rows, cols, caps):
-            f = int(flow.get((u, v), 0))
-            if c - f > 0:
-                residual[u].append(v)
-            if f > 0:
-                residual[v].append(u)
-        seen = {0}
-        queue = [0]
-        for u in queue:
-            for v in residual[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return int(res.flow_value), seen
+        return CutResult(lam, phi + lam * self.total, phi, k, method, len(rows))
 
     def _check(self, lam: Fraction, phi: Fraction, k: frozenset[int]) -> None:
         direct = len(k) - lam * self.h.induced_weight(k)
@@ -230,3 +260,26 @@ class LagrangianCutSolver:
             raise InvariantError(
                 f"cut bookkeeping mismatch at lam={lam}: {direct} != {phi}"
             )
+
+
+def _max_flow_scipy(rows, cols, caps, n: int):
+    """Max-flow value and source-side node ids, by scipy on int32 capacities.
+
+    ``rows`` must be non-decreasing and ``cols`` increasing within a row, so
+    the arcs already are the CSR order.  The residual graph is capacity minus
+    flow: scipy's flow matrix is antisymmetric, so a forward arc keeps
+    ``cap - flow > 0`` and its reverse arc ``flow > 0``.
+    """
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    graph = csr_matrix((caps, cols.astype(np.int32), indptr), shape=(n, n))
+    res = maximum_flow(graph, 0, 1)
+    residual = graph - res.flow
+    # float64 is the traversal's own dtype: any other costs a conversion
+    residual.data = (residual.data > 0).astype(np.float64)
+    residual.eliminate_zeros()
+    reach = breadth_first_order(residual, 0, directed=True, return_predecessors=False)
+    return int(res.flow_value), reach

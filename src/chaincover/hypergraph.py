@@ -6,6 +6,7 @@ rational mass; duplicate vertex sets are legal and are never merged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -98,7 +99,10 @@ class WeightedHypergraph:
     def induced_weight(self, s: frozenset[int] | set[int]) -> Fraction:
         """Total mass of hyperedges entirely contained in s."""
         s = frozenset(s)
-        return sum((e.weight for e in self.edges if e.vertices <= s), Fraction(0))
+        ws = [e.weight for e in self.edges if e.vertices <= s]
+        # one Fraction over the common denominator, not one per addition
+        d = math.lcm(*(w.denominator for w in ws))
+        return Fraction(sum(w.numerator * (d // w.denominator) for w in ws), d)
 
     def residual_weight(self, s: frozenset[int] | set[int]) -> Fraction:
         """Mass not captured by s: total minus induced."""

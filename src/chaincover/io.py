@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .chain import NestedChain
-from .hypergraph import InputError, WeightedHypergraph, as_fraction
+from .hypergraph import InputError, WeightedHypergraph
 
 __all__ = [
     "ResultRow",
@@ -149,12 +149,12 @@ def load_pairs(path: str | Path) -> tuple[WeightedHypergraph, list[tuple[frozens
     """Universe, (prediction, truth) pairs and stage-1 split count of a pairs file.
 
     The file holds {"n", "edges", "pairs": [{"a": [...], "b": [...]}, ...]};
-    edge weights "w" are optional (default 1) and the "split" count defaults
-    to half the pairs.
+    edge weights "w" are optional (default 1) and, as in every format,
+    rational strings or ints; the "split" count defaults to half the pairs.
     """
     doc = _read_doc(path, "pairs file", ("n", "edges", "pairs"))
     where = f"pairs file {path}"
-    universe = _hypergraph(doc, where, lambda e, at: as_fraction(e.get("w", 1)))
+    universe = _hypergraph(doc, where, lambda e, at: _frac(e.get("w", 1), at))
     pairs = []
     for i, p in enumerate(_objects(doc, "pairs", where)):
         at = f"{where}: pair {i}"

@@ -250,3 +250,23 @@ def random_hypergraph(
         if rng.random() < 0.08:
             edges.append((verts, w))  # exact duplicate stays unmerged
     return WeightedHypergraph.build(n, edges)
+
+
+def zipf_hypergraph(
+    seed: int, n: int, m: int, dens: Sequence[int] | None = None
+) -> WeightedHypergraph:
+    """m hyperedges of 2-6 vertices with Zipf(1) vertex popularity.
+
+    Weights are 1, or a/b with a in 1..9 and b drawn from ``dens``.  Skewed
+    popularity gives chains with many levels, too large for the exhaustive
+    oracles above.
+    """
+    rng = np.random.default_rng(seed)
+    popularity = 1 / np.arange(1, n + 1)
+    popularity /= popularity.sum()
+    edges = []
+    for _ in range(m):
+        members = rng.choice(n, size=int(rng.integers(2, 7)), replace=False, p=popularity)
+        weight = 1 if dens is None else Fraction(int(rng.integers(1, 10)), int(rng.choice(dens)))
+        edges.append((members.tolist(), weight))
+    return WeightedHypergraph.build(n, edges)

@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chaincover import InvariantError, NestedChain, WeightedHypergraph, nested_chain
+from chaincover import InputError, InvariantError, NestedChain, WeightedHypergraph, nested_chain
+from chaincover.flows import LagrangianCutSolver
 
-from oracles import chain_oracle, random_hypergraph
+from oracles import chain_oracle, random_hypergraph, zipf_hypergraph
 
 
 def test_three_path_chain_frozen(three_path_instance):
@@ -68,7 +69,7 @@ def test_vertexless_mass_shifts_induced_floor():
 
 
 @pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("method", ["scipy", "dinic"])
+@pytest.mark.parametrize("method", ["scipy", "dinic", "auto"])
 def test_chain_matches_oracle_on_randoms(seed, method):
     rng = np.random.default_rng(2000 + seed)
     for _ in range(4):
@@ -102,3 +103,32 @@ def test_validate_rejects_corruption(three_path_instance):
     for bad in cases:
         with pytest.raises(InvariantError):
             bad.validate()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_routes_agree_where_auto_mixes(seed, monkeypatch):
+    # large prime denominators: some contracted probes fit int32, others do not
+    h = zipf_hypergraph(400 + seed, 30, 60, dens=(101, 103, 107, 109, 113, 127, 131, 137))
+    routes = []
+    solve = LagrangianCutSolver.solve
+
+    def recording(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        routes.append(result.route)
+        return result
+
+    monkeypatch.setattr(LagrangianCutSolver, "solve", recording)
+    auto = nested_chain(h)
+    assert {"scipy", "dinic"} <= set(routes)
+    assert nested_chain(h, method="dinic") == auto
+    # the probes auto sends to Dinic are exactly those int32 cannot hold
+    with pytest.raises(InputError, match="scipy"):
+        nested_chain(h, method="scipy")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_all_routes_agree_within_int32(seed):
+    h = zipf_hypergraph(300 + seed, 30, 70, dens=(2, 3, 5))
+    chain = nested_chain(h, method="dinic")
+    assert nested_chain(h, method="scipy") == chain
+    assert nested_chain(h, method="auto") == chain

@@ -268,6 +268,9 @@ MALFORMED = {
                           {"sets": [[]], "breakpoints": [], "stats": []}),
     "pair-edge-without-v": (["calibrate", "doc.json", "--phi", "1/2"],
                             {"n": 1, "edges": [{"w": 1}], "pairs": [{"a": [0], "b": [0]}] * 2}),
+    "pair-edge-float-weight": (["calibrate", "doc.json", "--phi", "1/2"],
+                               {"n": 1, "edges": [{"v": [0], "w": 0.5}],
+                                "pairs": [{"a": [0], "b": [0]}] * 2}),
 }
 
 
@@ -280,3 +283,18 @@ def test_malformed_file_is_an_input_error(tmp_path, monkeypatch, capsys, args, d
         main()
     assert stop.value.code == 1
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_scipy_route_beyond_int32_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # the top probe needs capacities near 3**21, which int32 cannot hold
+    doc = {"n": 2, "edges": [{"v": [0, 1], "w": f"1/{2**20}"}, {"v": [0, 1], "w": f"1/{3**20}"}]}
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["chaincover", "chain", "doc.json", "out.json", "--route", "scipy"])
+    with pytest.raises(SystemExit) as stop:
+        main()
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "scipy" in err
+    assert not (tmp_path / "out.json").exists()

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import chaincover
-from chaincover import WeightedHypergraph
+from chaincover import InputError, WeightedHypergraph, nested_chain
 from chaincover.flows import LagrangianCutSolver
 
-from oracles import mass_table, minimal_minimizer, phi_minimizers, random_hypergraph
+from oracles import mass_table, minimal_minimizer, phi_minimizers, random_hypergraph, zipf_hypergraph
 
 
 @pytest.fixture
@@ -72,6 +72,12 @@ def test_auto_gate_routes_large_capacities_to_dinic(pair_edge):
     big = solver.solve(Fraction(2**33))
     assert big.route == "dinic"
     assert big.vertex_set == frozenset({0, 1})
+
+
+def test_forced_scipy_beyond_int32_is_an_input_error(pair_edge):
+    # a silent int32 cast would wrap 2**33 to 0 and solve the wrong network
+    with pytest.raises(InputError, match=r"scipy.*lam=8589934592"):
+        LagrangianCutSolver(pair_edge).solve(Fraction(2**33), method="scipy")
 
 
 def test_forced_routes_agree(pair_edge):
@@ -144,3 +150,51 @@ def test_dinic_handles_huge_capacities():
     assert got["tiny_sets"] == [[], [0, 1]]
     assert got["tiny_breakpoints"] == [str(2 * 3**400)]
     assert got["primes_agree"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_contracted_probe_equals_full_solve(seed):
+    # 30 vertices is beyond the exhaustive oracle; the full network is the reference
+    h = zipf_hypergraph(300 + seed, 30, 70, dens=(2, 3, 5))
+    chain = nested_chain(h, method="dinic")
+    assert len(chain) >= 4
+    solver = LagrangianCutSolver(h)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            # where the value lines of levels i and j cross
+            lam = Fraction(chain.sizes[j] - chain.sizes[i]) / (chain.induced[j] - chain.induced[i])
+            for method in ("scipy", "dinic"):
+                full = solver.solve(lam, method)
+                part = solver.solve(lam, method, chain.sets[i], chain.sets[j])
+                assert (part.vertex_set, part.phi, part.cut_value) == (
+                    full.vertex_set, full.phi, full.cut_value
+                )
+                assert part.arcs <= full.arcs
+
+
+def test_bracket_order_checked(pair_edge):
+    with pytest.raises(ValueError):
+        LagrangianCutSolver(pair_edge).solve(Fraction(1), lo=frozenset({0}), hi=frozenset({1}))
+
+
+def test_probes_below_the_root_bracket_solve_smaller_networks(monkeypatch):
+    h = zipf_hypergraph(48, 48, 240)
+    probes = []
+    solve = LagrangianCutSolver.solve
+
+    def recording(self, lam, method="auto", lo=frozenset(), hi=None):
+        result = solve(self, lam, method, lo, hi)
+        probes.append((lo, hi, result.arcs))
+        return result
+
+    monkeypatch.setattr(LagrangianCutSolver, "solve", recording)
+    chain = nested_chain(h)
+    solver = LagrangianCutSolver(h)
+    full = len(solver.edge_members) + sum(map(len, solver.edge_members)) + len(solver.support)
+    assert len(chain) >= 3
+    # the top probe and the first bracket (empty set, support) need the whole network
+    (top_lo, top_hi, top_arcs), (root_lo, root_hi, root_arcs), *rest = probes
+    assert (top_lo, top_hi, top_arcs) == (frozenset(), None, full)
+    assert (root_lo, root_hi, root_arcs) == (frozenset(), chain.sets[-1], full)
+    assert rest
+    assert all(arcs < full for _, _, arcs in rest)

@@ -107,3 +107,22 @@ def test_prefix_cover_counts_matches_brute_force(order, samples):
     samples = samples + samples[:3] + [frozenset()]
     counts = prefix_cover_counts(order, samples)
     assert counts == [sum(s <= set(order[:i]) for s in samples) for i in range(len(order) + 1)]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.frozensets(st.integers(0, 5), max_size=4),
+            st.integers(0, 50),
+            st.sampled_from([1, 2, 3, 4, 6, 7, 9, 10, 11, 13, 97, 2**40, 3**30]),
+        ),
+        max_size=10,
+    ),
+    st.frozensets(st.integers(0, 5)),
+)
+def test_induced_weight_matches_plain_fraction_sum(edges, s):
+    # zero weights, vertexless edges and mixed denominators, some huge
+    h = WeightedHypergraph.build(6, [(v, Fraction(a, b)) for v, a, b in edges])
+    got = h.induced_weight(s)
+    assert isinstance(got, Fraction)
+    assert got == sum((e.weight for e in h.edges if e.vertices <= s), Fraction(0))

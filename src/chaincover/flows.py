@@ -165,16 +165,21 @@ class LagrangianCutSolver:
         )
         self._edge_start = np.cumsum([0] + sizes[:-1])
         self._vertices = np.array(self.support, dtype=np.intp)
-        self._index = np.full(h.n, -1, dtype=np.intp)
-        self._index[self._vertices] = np.arange(len(self.support))
 
     def _mask(self, vs: frozenset[int]):
-        """Boolean mask over support indices of the support vertices in vs."""
+        """Boolean mask over support indices of the support vertices in vs.
+
+        Vertex ids are found by binary search in the sorted support, so
+        memory follows the support, not the declared vertex count.
+        """
         import numpy as np
 
         mask = np.zeros(len(self.support), dtype=bool)
-        idx = self._index[np.fromiter(vs, dtype=np.intp, count=len(vs))]
-        mask[idx[idx >= 0]] = True
+        ids = np.fromiter(vs, dtype=np.intp, count=len(vs))
+        pos = np.searchsorted(self._vertices, ids)
+        inside = pos < len(self.support)
+        pos, ids = pos[inside], ids[inside]
+        mask[pos[self._vertices[pos] == ids]] = True
         return mask
 
     def solve(

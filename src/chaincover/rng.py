@@ -23,18 +23,31 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 
 
 def randbelow(gen: np.random.Generator, n: int) -> int:
-    """Exact uniform integer in [0, n); n may exceed machine precision."""
+    """Exact uniform integer in [0, n); n may exceed machine precision.
+
+    Each try reads ceil(nbytes / 4) raw 32-bit words from the bit generator
+    and keeps the first nbytes of their little-endian bytes, which is what
+    ``gen.bytes(nbytes)`` returns and consumes, without its array round trip.
+    """
     if n <= 0:
         raise ValueError(f"randbelow needs a positive bound, got {n}")
     if n == 1:
         return 0
     bits = int(n - 1).bit_length()
     nbytes = (bits + 7) // 8
+    nwords = (nbytes + 3) // 4
     excess = nbytes * 8 - bits
-    while True:
-        x = int.from_bytes(gen.bytes(nbytes), "big") >> excess
-        if x < n:
-            return x
+    bitgen = gen.bit_generator
+    raw = bitgen.ctypes
+    next_uint32, state = raw.next_uint32, raw.state
+    with bitgen.lock:
+        while True:
+            word = next_uint32(state)
+            for i in range(1, nwords):
+                word |= next_uint32(state) << (32 * i)
+            x = int.from_bytes(word.to_bytes(4 * nwords, "little")[:nbytes], "big") >> excess
+            if x < n:
+                return x
 
 
 def choice_weighted(gen: np.random.Generator, weights: list[int]) -> int:

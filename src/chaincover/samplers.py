@@ -15,7 +15,7 @@ integer draws, so the output distribution is uniform by construction:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +43,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WalkDPTable:
-    """Counts N[(u, k)] of cost-k u->t walks; absorbing target."""
+    """Counts N[(u, k)] of cost-k u->t walks; absorbing target.
+
+    ``adjacency`` holds the moves leaving each vertex, derived once from
+    ``path`` and ``other_edges``.
+    """
 
     path: tuple[int, ...]
     other_edges: tuple[tuple[int, int], ...]
@@ -51,21 +55,24 @@ class WalkDPTable:
     nodes: tuple[int, ...]
     counts: dict[tuple[int, int], int]
     partition: int  # total admissible walks from s
+    adjacency: dict[int, tuple[tuple[int, int, tuple[str, int]], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
-    def moves(self, u: int) -> list[tuple[int, int, tuple[str, int]]]:
-        """(successor, cost, edge key) triples leaving u; none leave t."""
-        if u == self.path[-1]:
-            return []
-        out: list[tuple[int, int, tuple[str, int]]] = []
+    def __post_init__(self) -> None:
+        out: dict[int, list[tuple[int, int, tuple[str, int]]]] = {}
         for i in range(len(self.path) - 1):
-            if self.path[i] == u:
-                out.append((self.path[i + 1], 0, ("path", i)))
+            out.setdefault(self.path[i], []).append((self.path[i + 1], 0, ("path", i)))
         for j, (a, b) in enumerate(self.other_edges):
-            if a == u:
-                out.append((b, 1, ("free", j)))
-            elif b == u:
-                out.append((a, 1, ("free", j)))
-        return out
+            out.setdefault(a, []).append((b, 1, ("free", j)))
+            if b != a:
+                out.setdefault(b, []).append((a, 1, ("free", j)))
+        out.pop(self.path[-1], None)
+        object.__setattr__(self, "adjacency", {u: tuple(m) for u, m in out.items()})
+
+    def moves(self, u: int) -> tuple[tuple[int, int, tuple[str, int]], ...]:
+        """(successor, cost, edge key) triples leaving u; none leave t."""
+        return self.adjacency.get(u, ())
 
     def verify(self) -> None:
         """Re-derive every filled cell from its defining sum."""
@@ -234,6 +241,13 @@ def sample_itinerary(table: GroupedDPTable, gen: np.random.Generator) -> tuple[i
 
 @dataclass(frozen=True)
 class TreeDPTable:
+    """Counts counts[u][k] of u-rooted subtrees of cost k.
+
+    Derived once from ``children`` and ``counts``: ``factors[v]`` is v's
+    include-or-skip series and ``suffixes[u][i]`` the product of the factors
+    of ``children[u][i:]``, so a draw only looks them up.
+    """
+
     parent: tuple[int, ...]  # parent[root] == root
     root: int
     reference: frozenset[int]  # root-containing subtree, cost-0 nodes
@@ -241,31 +255,52 @@ class TreeDPTable:
     children: tuple[tuple[int, ...], ...]
     counts: tuple[tuple[int, ...], ...]  # counts[u][k]
     partition: int
+    factors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    suffixes: tuple[tuple[tuple[int, ...], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        factors = tuple(_child_factor(row) for row in self.counts)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(
+            self,
+            "suffixes",
+            tuple(_suffix_products(kids, factors, self.budget) for kids in self.children),
+        )
 
     def verify(self) -> None:
         for u in range(len(self.parent)):
-            expect = _tree_row(u, self.children, self.reference, self.budget, self.counts)
+            expect = _tree_row(u, self.children, self.reference, self.budget, self.factors)
             if tuple(self.counts[u]) != tuple(expect):
                 raise InvariantError(f"tree DP row {u} inconsistent")
         if self.partition != sum(self.counts[self.root]):
             raise InvariantError("tree DP partition total inconsistent")
 
 
-def _child_factor(row: Sequence[int]) -> list[int]:
+def _child_factor(row: Sequence[int]) -> tuple[int, ...]:
     """Include-or-skip series for one child: skipping contributes the unit at 0."""
-    f = list(row)
-    f[0] += 1
-    return f
+    return (row[0] + 1, *row[1:])
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], cap: int) -> list[int]:
     out = [0] * (cap + 1)
-    for i, x in enumerate(a):
+    for i, x in enumerate(a[: cap + 1]):
         if x:
-            for j, y in enumerate(b):
-                if i + j <= cap and y:
-                    out[i + j] += x * y
+            for j, y in enumerate(b[: cap + 1 - i], i):
+                if y:
+                    out[j] += x * y
     return out
+
+
+def _suffix_products(
+    kids: Sequence[int], factors: Sequence[Sequence[int]], budget: int
+) -> tuple[tuple[int, ...], ...]:
+    """Products of the child factors of kids[i:], for i = 0..len(kids)."""
+    suffixes = [tuple([1] + [0] * budget)]
+    for child in reversed(kids):
+        suffixes.append(tuple(_convolve(factors[child], suffixes[-1], budget)))
+    return tuple(reversed(suffixes))
 
 
 def _tree_row(
@@ -273,11 +308,9 @@ def _tree_row(
     children: Sequence[Sequence[int]],
     reference: frozenset[int],
     budget: int,
-    counts: Sequence[Sequence[int]],
+    factors: Sequence[Sequence[int]],
 ) -> list[int]:
-    acc = [1] + [0] * budget
-    for child in children[u]:
-        acc = _convolve(acc, _child_factor(counts[child]), budget)
+    acc = _suffix_products(children[u], factors, budget)[0]
     w = 0 if u in reference else 1
     return [acc[k - w] if k >= w else 0 for k in range(budget + 1)]
 
@@ -294,7 +327,13 @@ def build_tree_table(
     n = len(parent)
     if not 0 <= root < n or parent[root] != root:
         raise InputError("root must be its own parent")
+    for v, p in enumerate(parent):
+        if not 0 <= p < n:
+            raise InputError(f"parent {p} of node {v} is not a node id in [0, {n})")
     reference = frozenset(reference)
+    for v in reference:
+        if not 0 <= v < n:
+            raise InputError(f"reference node {v} is not a node id in [0, {n})")
     if root not in reference:
         raise InputError("reference subtree must contain the root")
     for v in reference:
@@ -312,8 +351,10 @@ def build_tree_table(
     if len(top_down) != n:
         raise InputError("parent array does not describe one tree")
     counts: list[tuple[int, ...]] = [()] * n
+    factors: list[tuple[int, ...]] = [()] * n
     for u in reversed(top_down):  # children before parents
-        counts[u] = tuple(_tree_row(u, children, reference, budget, counts))
+        counts[u] = tuple(_tree_row(u, children, reference, budget, factors))
+        factors[u] = _child_factor(counts[u])
     return TreeDPTable(
         parent,
         root,
@@ -328,39 +369,34 @@ def build_tree_table(
 def sample_subtree(table: TreeDPTable, gen: np.random.Generator) -> frozenset[int]:
     if table.partition <= 0:
         raise InputError("empty subtree family")
-    k = choice_weighted(gen, list(table.counts[table.root]))
-    chosen: set[int] = set()
-
-    def descend(u: int, k_u: int) -> None:
-        chosen.add(u)
-        k_rem = k_u - (0 if u in table.reference else 1)
-        kids = table.children[u]
-        # peel children left to right against suffix convolutions
-        suffixes: list[list[int]] = [[1] + [0] * table.budget]
-        for child in reversed(kids):
-            suffixes.append(
-                _convolve(_child_factor(table.counts[child]), suffixes[-1], table.budget)
-            )
-        suffixes.reverse()
-        for i, child in enumerate(kids):
-            factor = _child_factor(table.counts[child])
-            weights = [
-                factor[j] * suffixes[i + 1][k_rem - j] if j <= k_rem else 0
-                for j in range(table.budget + 1)
-            ]
-            j = choice_weighted(gen, weights)
-            k_rem -= j
-            if j == 0:
-                # unit at zero means "skip"; an included zero-cost subtree
-                # carries counts[child][0] of the mass
-                stay_out = 1
-                stay_in = table.counts[child][0]
-                if choice_weighted(gen, [stay_out, stay_in]) == 1:
-                    descend(child, 0)
-            else:
-                descend(child, j)
-
-    descend(table.root, k)
+    budget, reference, counts = table.budget, table.reference, table.counts
+    children, factors, suffixes = table.children, table.factors, table.suffixes
+    root = table.root
+    k = choice_weighted(gen, list(counts[root]))
+    chosen = {root}
+    # depth-first, children left to right, each peeled against the suffix
+    # product of its later siblings; a frame is [node, next child, budget left]
+    stack = [[root, 0, k - (0 if root in reference else 1)]]
+    while stack:
+        frame = stack[-1]
+        u, i, k_rem = frame
+        kids = children[u]
+        if i == len(kids):
+            stack.pop()
+            continue
+        child = kids[i]
+        factor, rest = factors[child], suffixes[u][i + 1]
+        weights = [
+            factor[j] * rest[k_rem - j] if j <= k_rem else 0 for j in range(budget + 1)
+        ]
+        j = choice_weighted(gen, weights)
+        frame[1], frame[2] = i + 1, k_rem - j
+        # unit at zero means "skip"; an included zero-cost subtree carries
+        # counts[child][0] of the mass
+        if j == 0 and choice_weighted(gen, [1, counts[child][0]]) == 0:
+            continue
+        chosen.add(child)
+        stack.append([child, 0, j - (0 if child in reference else 1)])
     return frozenset(chosen)
 
 

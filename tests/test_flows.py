@@ -198,3 +198,19 @@ def test_probes_below_the_root_bracket_solve_smaller_networks(monkeypatch):
     assert (root_lo, root_hi, root_arcs) == (frozenset(), chain.sets[-1], full)
     assert rest
     assert all(arcs < full for _, _, arcs in rest)
+
+
+def test_solver_memory_follows_the_support_not_n():
+    import tracemalloc
+
+    n = 10**7  # declared; only three vertices are used
+    h = WeightedHypergraph.build(n, [({0, 1}, 1), ({1, n - 1}, 2)])
+    nested_chain(WeightedHypergraph.build(3, [({0, 1}, 1), ({1, 2}, 2)]))  # lazy imports
+    tracemalloc.start()
+    try:
+        chain = nested_chain(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chain.sets[-1] == frozenset({0, 1, n - 1})
+    assert peak < 4 * 2**20

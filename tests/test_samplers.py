@@ -195,6 +195,23 @@ def test_tree_validation():
         build_tree_table((0, 0, 3, 2), 0, (0,), 1)  # 2<->3 cycle, not a tree
     with pytest.raises(InputError):
         build_tree_table(TREE_PARENT, 0, TREE_REF, -2)
+    with pytest.raises(InputError):
+        build_tree_table((0, 0, 1), 0, (0, 5), 1)  # reference id beyond the nodes
+    with pytest.raises(InputError):
+        build_tree_table((0, 0, 5), 0, (0,), 1)  # parent id beyond the nodes
+    with pytest.raises(InputError):
+        build_tree_table((0, 0, 1), 0, (0, 1, -1), 1)  # negative reference id
+
+
+def test_deep_tree_draws_without_recursion():
+    # a 3000-node path, all of it reference: the subtrees are its prefixes,
+    # and most draws go deeper than the interpreter's recursion limit
+    n = 3000
+    table = build_tree_table([0] + list(range(n - 1)), 0, range(n), 0)
+    assert table.partition == n
+    for i in range(6):
+        draw = sample_subtree(table, stream(1, i))
+        assert draw == frozenset(range(len(draw)))
 
 
 def test_tree_verify_detects_tampering():
@@ -234,3 +251,23 @@ def test_sampling_deterministic_per_stream():
     a = [sample_subtree(table, stream(11, i)) for i in range(20)]
     b = [sample_subtree(table, stream(11, i)) for i in range(20)]
     assert a == b
+
+
+def test_draws_pinned_per_stream():
+    walk = build_walk_table((0, 1, 2, 3, 4), ((0, 2), (1, 3), (2, 4), (0, 5), (5, 4)), 3)
+    assert [sample_walk(walk, stream(31, i)).edge_keys for i in range(4)] == [
+        (("path", 0), ("path", 1), ("path", 2), ("free", 1), ("path", 1), ("path", 2),
+         ("free", 1), ("path", 1), ("free", 2)),
+        (("free", 0), ("free", 0), ("path", 0), ("path", 1), ("free", 2)),
+        (("path", 0), ("path", 1), ("free", 0), ("path", 0), ("path", 1), ("free", 2)),
+        (("path", 0), ("path", 1), ("free", 0), ("path", 0), ("path", 1), ("path", 2),
+         ("free", 1), ("path", 1), ("path", 2), ("path", 3)),
+    ]
+    groups = build_group_table(((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)), (0, 3, 6, 9), 2)
+    assert [sample_itinerary(groups, stream(32, i)) for i in range(4)] == [
+        (2, 5, 6, 9), (2, 3, 6, 11), (0, 3, 8, 10), (0, 3, 6, 11),
+    ]
+    tree = build_tree_table((0, 0, 1, 2, 3, 1, 5, 0, 7, 8), 0, (0, 1, 2), 4)
+    assert [sorted(sample_subtree(tree, stream(33, i))) for i in range(4)] == [
+        [0, 7], [0, 1, 5, 6, 7], [0, 1, 2, 5, 6], [0, 7],
+    ]

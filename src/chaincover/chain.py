@@ -9,6 +9,14 @@ probe the intersection of the value lines of the two bracketing sets; if the
 minimal minimizer at the probe equals the lower set, the probe is the single
 breakpoint between them, otherwise the probe's minimizer splits the interval.
 
+The intervals are walked by one loop over a work list of brackets
+(lo, e(lo), hi, e(hi)), lower halves first, so breakpoints come out in
+increasing order and nesting depth is bounded by memory, not by Python's
+recursion limit.  The induced weight of a set found by a probe is read off
+the probe itself: the solver has just checked Phi = |K| - lam * e(K) by a
+recount on the full hypergraph, so e(K) = (|K| - Phi) / lam exactly, and no
+set is recounted twice.
+
 Because minimal minimizers grow with lam, the minimizer at a probe lies
 between its two brackets, so each probe solves only the subnetwork of the
 vertices between them (``LagrangianCutSolver.solve`` with ``lo``/``hi``).
@@ -90,13 +98,6 @@ def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
         chain.validate()
         return chain
 
-    cache: dict[frozenset[int], Fraction] = {}
-
-    def induced(s: frozenset[int]) -> Fraction:
-        if s not in cache:
-            cache[s] = h.induced_weight(s)
-        return cache[s]
-
     lam_max = Fraction(h.n + 1) / solver.min_positive
     top = solver.solve(lam_max, method).vertex_set
     expected_top = frozenset(solver.support)
@@ -106,30 +107,28 @@ def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
             f"{sorted(top)} vs {sorted(expected_top)}"
         )
 
-    breaks: list[tuple[Fraction, frozenset[int]]] = []
-
-    def recurse(lo: frozenset[int], hi: frozenset[int]) -> None:
-        lam = Fraction(len(hi) - len(lo)) / (induced(hi) - induced(lo))
-        mid = solver.solve(lam, method, lo, hi).vertex_set
+    sets = [frozenset()]
+    breakpoints: list[Fraction] = []
+    induced = [base_induced]
+    brackets = [(frozenset(), base_induced, top, solver.total)]
+    while brackets:
+        lo, e_lo, hi, e_hi = brackets.pop()
+        lam = Fraction(len(hi) - len(lo)) / (e_hi - e_lo)
+        cut = solver.solve(lam, method, lo, hi)
+        mid = cut.vertex_set
         if mid == lo:
-            breaks.append((lam, hi))
-            return
+            sets.append(hi)
+            breakpoints.append(lam)
+            induced.append(e_hi)
+            continue
         if mid == hi:
             raise InvariantError(
                 f"probe at {lam} returned the upper bracket set; minimal-cut "
                 "tie-breaking is broken"
             )
-        recurse(lo, mid)
-        recurse(mid, hi)
+        e_mid = (len(mid) - cut.phi) / lam
+        brackets += [(mid, e_mid, hi, e_hi), (lo, e_lo, mid, e_mid)]  # lower half pops first
 
-    recurse(frozenset(), top)
-    breaks.sort(key=lambda item: item[0])
-    sets = (frozenset(),) + tuple(s for _, s in breaks)
-    chain = NestedChain(
-        sets=sets,
-        breakpoints=tuple(lam for lam, _ in breaks),
-        induced=tuple(induced(s) for s in sets),
-        total=solver.total,
-    )
+    chain = NestedChain(tuple(sets), tuple(breakpoints), tuple(induced), solver.total)
     chain.validate()
     return chain

@@ -102,9 +102,7 @@ def _peek_json(path: str) -> dict:
 @click.option("--phi", required=True, help="target coverage level")
 @click.option("--delta", default=None, help="stage-1 miss budget (default 0.05*phi)")
 @click.option("--kappa", default="1", show_default=True)
-@click.option("--distance", default="symdiff", show_default=True,
-              type=click.Choice(["symdiff"]))
-def cmd_calibrate(pairs: str, phi: str, delta: str | None, kappa: str, distance: str) -> None:
+def cmd_calibrate(pairs: str, phi: str, delta: str | None, kappa: str) -> None:
     """Two-stage calibration from a PAIRS file.
 
     PAIRS holds {"n", "edges", "pairs": [{"a": [...], "b": [...]}, ...]} with

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .chain import NestedChain, nested_chain
-from .compress import select, tau_threshold
+from .compress import _check_kappa, select, tau_threshold
 from .hypergraph import InputError, WeightedHypergraph, as_fraction, prefix_cover_counts
 
 __all__ = [
@@ -108,7 +108,7 @@ def calibrate_stage2(
     phi = as_fraction(phi)
     if not 0 <= phi <= 1:
         raise InputError(f"phi must lie in [0, 1], got {phi}")
-    kappa = as_fraction(kappa)
+    kappa = _check_kappa(kappa)  # also when every pair is censored
     if edge_source is None:
         edge_source = lambda pair, d: _enumerated_candidates(pair, d, distance)
     etas: list[EtaScore] = []

@@ -77,7 +77,8 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0)
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int) -> tuple[int, list[int]]:
+        """Max-flow value and the source side of the final residual graph."""
         flow = 0
         while True:
             level = [-1] * self.n
@@ -90,7 +91,7 @@ class _Dinic:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
-                return flow
+                return flow, queue  # the BFS that missed t reached the source side
             it = [0] * self.n
 
             def dfs(u: int, pushed: int) -> int:
@@ -115,17 +116,6 @@ class _Dinic:
                 if not pushed:
                     break
                 flow += pushed
-
-    def source_side(self, s: int) -> set[int]:
-        seen = {s}
-        queue = [s]
-        for u in queue:
-            for a in self.adj[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
 
 
 class LagrangianCutSolver:
@@ -248,8 +238,8 @@ class LagrangianCutSolver:
             net = _Dinic(n_nodes)
             for u, v, c in zip(rows.tolist(), cols.tolist(), caps):
                 net.add(u, v, c)
-            cut = net.max_flow(0, 1)
-            reach = np.fromiter(net.source_side(0), dtype=np.intp)
+            cut, side = net.max_flow(0, 1)
+            reach = np.array(side, dtype=np.intp)
         reached = self._vertices[free_ids[reach[reach >= 2 + len(kept)] - 2 - len(kept)]]
         k = lo | frozenset(reached.tolist())
         e_lo = sum(self.edge_nums[i] for i in np.flatnonzero(inside_lo).tolist())

@@ -132,3 +132,18 @@ def test_all_routes_agree_within_int32(seed):
     chain = nested_chain(h, method="dinic")
     assert nested_chain(h, method="scipy") == chain
     assert nested_chain(h, method="auto") == chain
+
+
+def test_one_recount_per_probe(monkeypatch):
+    # each probe's bookkeeping check recounts its set once; the chain reads
+    # every set's mass off that probe instead of recounting it again
+    calls = {"solve": 0, "induced_weight": 0}
+    for cls, name in ((LagrangianCutSolver, "solve"), (WeightedHypergraph, "induced_weight")):
+        def counting(*args, _name=name, _inner=getattr(cls, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+    chain = nested_chain(zipf_hypergraph(48, 48, 240))
+    assert len(chain) >= 3
+    assert calls["induced_weight"] == calls["solve"]

@@ -145,6 +145,9 @@ def test_calibrate_command(runner, tmp_path):
     assert report["tau_star"] == str(state.tau_star)
     assert report["etas"] == [str(e.value) for e in state.etas]
     assert report["censored"] == [e.censored for e in state.etas]
+    # the distance is always the symmetric difference: no option selects it
+    dropped = runner.invoke(cli, ["calibrate", str(path), "--phi", "1/2", "--distance", "symdiff"])
+    assert dropped.exit_code == 2 and "--distance" in dropped.output
 
 
 def test_calibrate_rejects_short_pairs(runner, tmp_path):

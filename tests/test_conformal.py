@@ -108,6 +108,14 @@ def test_stage2_censors_distant_truths():
     _, etas = calibrate_stage2(pairs, 0, Fraction(1, 2), 1)
     assert not etas[0].censored
     assert etas[1].censored and etas[1].value == 1
+    # kappa is checked even when every stage-2 pair is censored, so that
+    # tau_threshold never runs: stage 1 gives d* = 0, stage 2 sees distance 4
+    d1 = [_pair({0, 1}, {0, 1})] * 20
+    d2 = [_pair({0, 1}, {2, 3})] * 4
+    assert calibrate(d1, d2, "4/5", "1/10", 1).d_star == 0
+    for kappa in (0, -3):
+        with pytest.raises(InputError, match="slack"):
+            calibrate(d1, d2, "4/5", "1/10", kappa)
 
 
 def test_stage2_empty_is_full_threshold():

@@ -137,19 +137,45 @@ print(json.dumps({
 """
 
 
-def test_dinic_handles_huge_capacities():
+def _run_child(code: str):
+    """Run ``code`` in a fresh interpreter that imports this chaincover; its stdout as JSON."""
     env = dict(os.environ)
     root = str(Path(chaincover.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _HUGE_CAPACITIES],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_dinic_handles_huge_capacities():
+    got = _run_child(_HUGE_CAPACITIES)
     assert got["tiny_sets"] == [[], [0, 1]]
     assert got["tiny_breakpoints"] == [str(2 * 3**400)]
     assert got["primes_agree"]
+
+
+# Each probe splits off one singleton, so the brackets nest 300 deep: a
+# recursive walk over them exceeds the lowered recursion limit.
+_DEEP_CHAIN = """
+import json, sys
+from chaincover import WeightedHypergraph, nested_chain
+
+h = WeightedHypergraph.build(300, [([v], 300 ** (300 - v)) for v in range(300)])
+sys.setrecursionlimit(200)
+chain = nested_chain(h)
+print(json.dumps({
+    "sets": [sorted(s) for s in chain.sets],
+    "breakpoints": [str(b) for b in chain.breakpoints],
+}))
+"""
+
+
+def test_deep_chain_needs_no_recursion():
+    got = _run_child(_DEEP_CHAIN)
+    assert got["sets"] == [list(range(j)) for j in range(301)]
+    assert got["breakpoints"] == [str(Fraction(1, 300 ** (300 - v))) for v in range(300)]
 
 
 @pytest.mark.parametrize("seed", range(3))

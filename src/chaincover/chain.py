@@ -9,19 +9,27 @@ probe the intersection of the value lines of the two bracketing sets; if the
 minimal minimizer at the probe equals the lower set, the probe is the single
 breakpoint between them, otherwise the probe's minimizer splits the interval.
 
-The intervals are walked by one loop over a work list of brackets
-(lo, e(lo), hi, e(hi)), lower halves first, so breakpoints come out in
-increasing order and nesting depth is bounded by memory, not by Python's
-recursion limit.  The induced weight of a set found by a probe is read off
-the probe itself: the solver has just checked Phi = |K| - lam * e(K) by a
-recount on the full hypergraph, so e(K) = (|K| - Phi) / lam exactly, and no
-set is recounted twice.
+The intervals are walked in rounds.  A round is the row of brackets
+(lo, e(lo), hi, e(hi)) at one depth of the divide and conquer, kept from
+left to right (increasing lam).  Their probes are independent, so the round
+solves them all with one ``LagrangianCutSolver.solve_many`` call, which
+packs their networks into one scipy max-flow call while int32 holds them
+all.  A probe that finds its lower set closes its bracket; one that finds a
+new set replaces its bracket by the two halves, in place.  Closed brackets
+stay in the row until every bracket to their left is closed too, and then
+leave it from the left, so breakpoints come out in increasing order without
+a sort.  Nesting depth is bounded by memory, not by Python's recursion
+limit.  The induced weight of a set found by a probe is read off the probe
+itself: the solver has just checked Phi = |K| - lam * e(K) by a recount on
+the full hypergraph, so e(K) = (|K| - Phi) / lam exactly, and no set is
+recounted twice.
 
 Because minimal minimizers grow with lam, the minimizer at a probe lies
 between its two brackets, so each probe solves only the subnetwork of the
-vertices between them (``LagrangianCutSolver.solve`` with ``lo``/``hi``).
-Only the top probe, which has no brackets, and the first split between the
-empty set and the full support solve the whole network.
+vertices between them (``lo``/``hi`` of the solver).  Only the top probe,
+which has no brackets and is solved alone before the first round, and the
+first split between the empty set and the full support solve the whole
+network.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .flows import LagrangianCutSolver
 from .hypergraph import WeightedHypergraph, InvariantError
@@ -86,6 +95,21 @@ class NestedChain:
                 raise InvariantError(f"breakpoint identity fails at {j}: {lo} != {hi}")
 
 
+class _Bracket(NamedTuple):
+    """Chain sets lo < hi, their masses and the probe between them."""
+
+    lo: frozenset[int]
+    e_lo: Fraction
+    hi: frozenset[int]
+    e_hi: Fraction
+    lam: Fraction          # where the value lines |K| - lam * e(K) of lo and hi cross
+    closed: bool = False   # the probe at lam found lo: lam is the breakpoint of hi
+
+    @classmethod
+    def open(cls, lo: frozenset[int], e_lo: Fraction, hi: frozenset[int], e_hi: Fraction):
+        return cls(lo, e_lo, hi, e_hi, Fraction(len(hi) - len(lo)) / (e_hi - e_lo))
+
+
 def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
     """Compute the full chain for ``h``.
 
@@ -110,24 +134,35 @@ def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
     sets = [frozenset()]
     breakpoints: list[Fraction] = []
     induced = [base_induced]
-    brackets = [(frozenset(), base_induced, top, solver.total)]
-    while brackets:
-        lo, e_lo, hi, e_hi = brackets.pop()
-        lam = Fraction(len(hi) - len(lo)) / (e_hi - e_lo)
-        cut = solver.solve(lam, method, lo, hi)
-        mid = cut.vertex_set
-        if mid == lo:
-            sets.append(hi)
-            breakpoints.append(lam)
-            induced.append(e_hi)
-            continue
-        if mid == hi:
-            raise InvariantError(
-                f"probe at {lam} returned the upper bracket set; minimal-cut "
-                "tie-breaking is broken"
-            )
-        e_mid = (len(mid) - cut.phi) / lam
-        brackets += [(mid, e_mid, hi, e_hi), (lo, e_lo, mid, e_mid)]  # lower half pops first
+    row = [_Bracket.open(frozenset(), base_induced, top, solver.total)]
+    while row:
+        cuts = iter(solver.solve_many([(b.lam, b.lo, b.hi) for b in row if not b.closed], method))
+        brackets = []
+        for b in row:
+            if b.closed:
+                brackets.append(b)
+                continue
+            cut = next(cuts)
+            mid = cut.vertex_set
+            if mid == b.lo:
+                brackets.append(b._replace(closed=True))
+                continue
+            if mid == b.hi:
+                raise InvariantError(
+                    f"probe at {b.lam} returned the upper bracket set; minimal-cut "
+                    "tie-breaking is broken"
+                )
+            e_mid = (len(mid) - cut.phi) / b.lam
+            brackets += [
+                _Bracket.open(b.lo, b.e_lo, mid, e_mid), _Bracket.open(mid, e_mid, b.hi, b.e_hi)
+            ]
+        # closed brackets left of every open one are final, in increasing order
+        done = next((j for j, b in enumerate(brackets) if not b.closed), len(brackets))
+        for b in brackets[:done]:
+            sets.append(b.hi)
+            breakpoints.append(b.lam)
+            induced.append(b.e_hi)
+        row = brackets[done:]
 
     chain = NestedChain(tuple(sets), tuple(breakpoints), tuple(induced), solver.total)
     chain.validate()

@@ -33,6 +33,24 @@ provided and cross-checked in tests:
   whose capacities do not fit is an ``InputError``);
 * ``dinic``: a pure-Python Dinic on arbitrary-precision integers (reference
   route, always applicable).
+
+Packed probes.  ``solve_many`` solves several probes at once, as the chain
+does with all the probes of one round.  Each probe's network becomes a block
+of nodes of one network, and the blocks share only the source and the sink;
+each keeps its own gcd-scaled capacities, since no arc joins two blocks.
+So a flow of the union is a flow of every block at once, its value is the
+sum of theirs, and the union's max flow value is the sum of the blocks':
+a max flow of the union, restricted to one block, is a max flow of that
+block.  At a max flow no residual path leads from the source to the sink,
+so residual reachability from the source never passes the sink into
+another block, and the reached nodes of each block are that block's own
+minimal minimizer.
+Each block's cut value is read from the flow on its own source arcs (row 0
+of scipy's flow matrix), not from the reached set, so the recount that
+``_check`` compares it with is a max-flow/min-cut certificate per probe.
+Blocks share a scipy call while the sum of their ``inf`` bounds fits int32,
+which bounds the total flow and every capacity of the call; a probe past
+int32 takes the Dinic route (under ``auto``) on its own network.
 """
 
 from __future__ import annotations
@@ -40,6 +58,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import Sequence
 
 from .hypergraph import InputError, InvariantError, WeightedHypergraph
 
@@ -58,6 +78,21 @@ class CutResult:
     vertex_set: frozenset[int]   # inclusion-minimal minimizer
     route: str                   # "scipy", "dinic" or "trivial" (no network)
     arcs: int                    # arcs of the network actually solved
+
+
+@dataclass(frozen=True)
+class _Scale:
+    """Exact integer capacities of one probe's network and how to undo them."""
+
+    lam: Fraction
+    lo: frozenset[int]
+    src: list[int]   # source -> kept hyperedge: lam * w_e
+    sink: int        # free vertex -> sink: 1
+    inf: int         # hyperedge -> member vertex: above every finite cut
+    g: int           # the gcd every capacity was divided by
+    base: int        # p * D * (e(kept) + e(lo)): Phi = (cut * g - base) / (q * D) + |lo|
+    n_mid: int       # hyperedge -> vertex arcs
+    n_free: int      # free vertices
 
 
 class _Dinic:
@@ -125,8 +160,9 @@ class LagrangianCutSolver:
     runs from positive hyperedge ``_arc_edge[a]`` to the vertex at support
     index ``_arc_vertex[a]``, arcs grouped by hyperedge.  Vertices on no
     positive hyperedge can never enter a minimal minimizer and get no node.
-    Each probe selects and renumbers its (sub)network from these arrays:
-    0 = source, 1 = sink, then the kept hyperedges, then the free vertices.
+    Each probe selects its (sub)network from these arrays as one block, and
+    the blocks solved together are numbered 0 = source, 1 = sink, then the
+    kept hyperedges, then the free vertices, each block by block.
     """
 
     def __init__(self, h: WeightedHypergraph):
@@ -147,30 +183,112 @@ class LagrangianCutSolver:
         self.total = Fraction(sum(self.edge_nums), self.denom) + self.const_mass
         lightest = [Fraction(min(self.edge_nums), self.denom)] if pos else []
         self.min_positive = min(lightest + empty, default=Fraction(0))
-        index = {v: i for i, v in enumerate(self.support)}
+        self._index = {v: i for i, v in enumerate(self.support)}
         sizes = [len(m) for m in self.edge_members]
         self._arc_edge = np.repeat(np.arange(len(pos)), sizes)
         self._arc_vertex = np.array(
-            [index[v] for m in self.edge_members for v in m], dtype=np.intp
+            [self._index[v] for m in self.edge_members for v in m], dtype=np.intp
         )
         self._edge_start = np.cumsum([0] + sizes[:-1])
         self._vertices = np.array(self.support, dtype=np.intp)
 
-    def _mask(self, vs: frozenset[int]):
-        """Boolean mask over support indices of the support vertices in vs.
+    def _masks(self, sets: Sequence[frozenset[int] | None]):
+        """Boolean rows over support indices: row i marks the support vertices in sets[i].
 
-        Vertex ids are found by binary search in the sorted support, so
-        memory follows the support, not the declared vertex count.
+        ``None`` marks the whole support.  Vertex ids map to support indices
+        through a dict over the support, so memory follows the support, not
+        the declared vertex count.
         """
         import numpy as np
 
-        mask = np.zeros(len(self.support), dtype=bool)
-        ids = np.fromiter(vs, dtype=np.intp, count=len(vs))
-        pos = np.searchsorted(self._vertices, ids)
-        inside = pos < len(self.support)
-        pos, ids = pos[inside], ids[inside]
-        mask[pos[self._vertices[pos] == ids]] = True
+        index, width = self._index, len(self.support)
+        mask = np.zeros((len(sets), width), dtype=bool)
+        at = [i * width + index[v] for i, s in enumerate(sets) if s is not None
+              for v in s if v in index]
+        np.put(mask, at, True)
+        mask[[i for i, s in enumerate(sets) if s is None]] = True
         return mask
+
+    def _blocks(
+        self, probes: Sequence[tuple[Fraction, frozenset[int], frozenset[int] | None]]
+    ):
+        """The networks of ``probes``, one block each, as of the module docstring.
+
+        Returns the boolean rows ``keep`` (kept hyperedges), ``free`` (free
+        vertices) and ``mid`` (hyperedge->vertex arcs), one row per probe,
+        built for all probes by the same numpy operations, and each probe's
+        exact integer capacities as a ``_Scale``.
+        """
+        import numpy as np
+
+        masks = self._masks([lo for _, lo, _ in probes] + [hi for _, _, hi in probes])
+        in_lo, in_hi = masks[: len(probes)], masks[len(probes):]
+        # np.take: column gathers by fancy indexing cost several times more
+        lo_arcs = np.take(in_lo, self._arc_vertex, axis=1)
+        hi_arcs = np.take(in_hi, self._arc_vertex, axis=1)
+        inside_lo = np.logical_and.reduceat(lo_arcs, self._edge_start, axis=1)
+        inside_hi = np.logical_and.reduceat(hi_arcs, self._edge_start, axis=1)
+        keep = inside_hi & ~inside_lo
+        free = in_hi & ~in_lo
+        mid = np.take(keep, self._arc_edge, axis=1) & ~lo_arcs
+
+        bounds = np.arange(len(probes) + 1)
+        rows, kept = np.nonzero(keep)
+        kept, k_at = kept.tolist(), np.searchsorted(rows, bounds).tolist()
+        rows, below = np.nonzero(inside_lo)
+        below, b_at = below.tolist(), np.searchsorted(rows, bounds).tolist()
+        n_mid = np.count_nonzero(mid, axis=1).tolist()
+        n_free = np.count_nonzero(free, axis=1).tolist()
+        nums_of, d = self.edge_nums, self.denom
+        scales = []
+        for i, (lam, lo, _) in enumerate(probes):
+            # integer capacities: lam * w_e and 1 scaled by q * denom, then
+            # divided by their gcd g, which leaves the cuts and the flows'
+            # residual reachability unchanged and lets more probes fit int32
+            p, q = lam.numerator, lam.denominator
+            nums = [nums_of[e] for e in kept[k_at[i]:k_at[i + 1]]]
+            e_lo = sum(nums_of[e] for e in below[b_at[i]:b_at[i + 1]])
+            g = math.gcd(p * math.gcd(*nums), q * d)
+            src = [p * a // g for a in nums]
+            sink = q * d // g
+            inf = sum(src) + sink * n_free[i] + 1  # exceeds every finite cut
+            scales.append(
+                _Scale(lam, lo, src, sink, inf, g, p * (sum(nums) + e_lo), n_mid[i], n_free[i])
+            )
+        return keep, free, mid, scales
+
+    def _pack(self, keep, free, mid):
+        """Arcs of the union of some blocks' networks, in CSR order.
+
+        Node 0 is the source and node 1 the sink, shared by every block; then
+        come the kept hyperedges, block by block, then the free vertices,
+        block by block.  Returns ``rows`` and ``cols`` (source arcs, then
+        hyperedge->vertex arcs, then vertex->sink arcs), the node count, the
+        block of each source arc, and the block and support index of each
+        vertex node.
+        """
+        import numpy as np
+
+        e_block, e_idx = np.nonzero(keep)
+        v_block, v_idx = np.nonzero(free)
+        a_block, a_idx = np.nonzero(mid)
+        first_v = 2 + len(e_idx)
+        n = first_v + len(v_idx)
+        enode = np.zeros(keep.shape, dtype=np.intp)
+        enode[e_block, e_idx] = np.arange(2, first_v)
+        vnode = np.zeros(free.shape, dtype=np.intp)
+        vnode[v_block, v_idx] = np.arange(first_v, n)
+        rows = np.concatenate((
+            np.zeros(len(e_idx), dtype=np.intp),
+            enode[a_block, self._arc_edge[a_idx]],
+            np.arange(first_v, n),
+        ))
+        cols = np.concatenate((
+            np.arange(2, first_v),
+            vnode[a_block, self._arc_vertex[a_idx]],
+            np.ones(len(v_idx), dtype=np.intp),
+        ))
+        return rows, cols, n, e_block, v_block, v_idx
 
     def solve(
         self,
@@ -184,70 +302,91 @@ class LagrangianCutSolver:
         The caller guarantees that the unconstrained minimal minimizer lies
         between ``lo`` and ``hi``, as chain brackets do; the result then
         equals the unconstrained solve, found on the contracted network of
-        the module docstring.
+        the module docstring.  One probe of ``solve_many``.
+        """
+        return self.solve_many([(lam, lo, hi)], method)[0]
+
+    def solve_many(
+        self,
+        probes: Sequence[tuple[Fraction, frozenset[int], frozenset[int] | None]],
+        method: str = "auto",
+    ) -> list[CutResult]:
+        """``solve(lam, method, lo, hi)`` of every probe ``(lam, lo, hi)``, in order.
+
+        The probes' networks are blocks of one network that share only the
+        source and the sink, so every block that fits int32 goes into one
+        scipy call while the sum of their ``inf`` bounds does; a block that
+        needs the Dinic route is solved on its own.
         """
         import numpy as np
 
-        if lam < 0:
-            raise ValueError(f"multiplier must be non-negative, got {lam}")
         if method not in ("auto", "scipy", "dinic"):
             raise ValueError(f"unknown max-flow route {method!r}")
-        if hi is not None and not lo <= hi:
-            raise ValueError("lower bracket is not inside the upper bracket")
+        for lam, lo, hi in probes:
+            if lam < 0:
+                raise ValueError(f"multiplier must be non-negative, got {lam}")
+            if hi is not None and not lo <= hi:
+                raise ValueError("lower bracket is not inside the upper bracket")
         if not self.edge_members:
-            phi = -lam * self.const_mass
-            return CutResult(lam, phi + lam * self.total, phi, frozenset(), "trivial", 0)
+            phis = [-lam * self.const_mass for lam, _, _ in probes]
+            return [
+                CutResult(lam, phi + lam * self.total, phi, frozenset(), "trivial", 0)
+                for (lam, _, _), phi in zip(probes, phis)
+            ]
 
-        in_lo = self._mask(lo)
-        in_hi = np.ones(len(self.support), dtype=bool) if hi is None else self._mask(hi)
-        inside_lo = np.logical_and.reduceat(in_lo[self._arc_vertex], self._edge_start)
-        inside_hi = np.logical_and.reduceat(in_hi[self._arc_vertex], self._edge_start)
-        keep = inside_hi & ~inside_lo
-        free = in_hi & ~in_lo
-        mid = keep[self._arc_edge] & ~in_lo[self._arc_vertex]
-        kept = np.flatnonzero(keep)
-        # node ids: kept hyperedges from 2, free vertices after them
-        enode = np.cumsum(keep) + 1
-        vnode = np.cumsum(free) + 1 + len(kept)
-        free_ids = np.flatnonzero(free)
-        n_nodes = 2 + len(kept) + len(free_ids)
-        rows = np.concatenate(([0] * len(kept), enode[self._arc_edge[mid]], vnode[free_ids]))
-        cols = np.concatenate((enode[kept], vnode[self._arc_vertex[mid]], [1] * len(free_ids)))
-
-        # integer capacities: lam * w_e and 1 scaled by q * denom, then
-        # divided by their gcd g, which leaves the cuts and the flows' residual
-        # reachability unchanged and lets more probes fit int32
-        p, q = lam.numerator, lam.denominator
-        nums = [self.edge_nums[i] for i in kept.tolist()]
-        g = math.gcd(p * math.gcd(*nums), q * self.denom)
-        src = [p * a // g for a in nums]
-        sink_cap = q * self.denom // g
-        inf = sum(src) + sink_cap * len(free_ids) + 1  # exceeds every finite cut
-        n_mid = int(np.count_nonzero(mid))
-        caps = src + [inf] * n_mid + [sink_cap] * len(free_ids)
-        if method == "auto":
-            method = "scipy" if inf <= _INT32_MAX else "dinic"
-        if method == "scipy":
-            if inf > _INT32_MAX:
+        keep, free, mid, scales = self._blocks(probes)
+        packs: list[list[int]] = []  # blocks of one scipy call each
+        room = 0  # int32 room left in the last pack
+        dinic = []
+        for i, s in enumerate(scales):
+            fits = s.inf <= _INT32_MAX
+            if method == "dinic" or (method == "auto" and not fits):
+                dinic.append(i)
+                continue
+            if not fits:
                 raise InputError(
-                    f"route 'scipy' cannot solve at lam={lam}: capacities up to {inf} "
+                    f"route 'scipy' cannot solve at lam={s.lam}: capacities up to {s.inf} "
                     "exceed int32; use route 'dinic' or 'auto'"
                 )
-            cut, reach = _max_flow_scipy(rows, cols, np.array(caps, dtype=np.int32), n_nodes)
-        else:
-            net = _Dinic(n_nodes)
-            for u, v, c in zip(rows.tolist(), cols.tolist(), caps):
-                net.add(u, v, c)
-            cut, side = net.max_flow(0, 1)
-            reach = np.array(side, dtype=np.intp)
-        reached = self._vertices[free_ids[reach[reach >= 2 + len(kept)] - 2 - len(kept)]]
-        k = lo | frozenset(reached.tolist())
-        e_lo = sum(self.edge_nums[i] for i in np.flatnonzero(inside_lo).tolist())
-        phi = Fraction(cut * g - p * (sum(nums) + e_lo), q * self.denom) + len(lo)
-        if self.const_mass:
-            phi -= lam * self.const_mass
-        self._check(lam, phi, k)
-        return CutResult(lam, phi + lam * self.total, phi, k, method, len(rows))
+            if s.inf > room:
+                packs.append([])
+                room = _INT32_MAX
+            packs[-1].append(i)
+            room -= s.inf
+
+        results: list[CutResult] = [None] * len(probes)  # type: ignore[list-item]
+        for route, idx in [("scipy", pack) for pack in packs] + [("dinic", [i]) for i in dinic]:
+            rows, cols, n, e_block, v_block, v_idx = self._pack(keep[idx], free[idx], mid[idx])
+            group = [scales[i] for i in idx]
+            caps = list(chain.from_iterable(s.src for s in group))
+            for s in group:
+                caps += [s.inf] * s.n_mid
+            for s in group:
+                caps += [s.sink] * s.n_free
+            if route == "scipy":
+                src_flow, reach = _max_flow_scipy(rows, cols, np.array(caps, dtype=np.int32), n)
+                # float64 sums are exact: each block's flow is below its inf
+                cuts = np.bincount(e_block, weights=src_flow, minlength=len(idx)).astype(np.int64)
+                cuts = cuts.tolist()
+            else:
+                net = _Dinic(n)
+                for u, v, c in zip(rows.tolist(), cols.tolist(), caps):
+                    net.add(u, v, c)
+                flow, side = net.max_flow(0, 1)
+                cuts, reach = [flow], np.array(side, dtype=np.intp)
+            first_v = n - len(v_idx)
+            node = np.sort(reach[reach >= first_v]) - first_v  # block by block
+            reached = self._vertices[v_idx[node]].tolist()
+            at = np.searchsorted(v_block[node], np.arange(len(idx) + 1)).tolist()
+            for j, (i, s) in enumerate(zip(idx, group)):
+                k = s.lo | frozenset(reached[at[j]:at[j + 1]])
+                phi = Fraction(cuts[j] * s.g - s.base, s.lam.denominator * self.denom) + len(s.lo)
+                if self.const_mass:
+                    phi -= s.lam * self.const_mass
+                self._check(s.lam, phi, k)
+                arcs = len(s.src) + s.n_mid + s.n_free
+                results[i] = CutResult(s.lam, phi + s.lam * self.total, phi, k, route, arcs)
+        return results
 
     def _check(self, lam: Fraction, phi: Fraction, k: frozenset[int]) -> None:
         direct = len(k) - lam * self.h.induced_weight(k)
@@ -258,12 +397,15 @@ class LagrangianCutSolver:
 
 
 def _max_flow_scipy(rows, cols, caps, n: int):
-    """Max-flow value and source-side node ids, by scipy on int32 capacities.
+    """Flow on each source arc and the source-side node ids, by scipy on int32 capacities.
 
     ``rows`` must be non-decreasing and ``cols`` increasing within a row, so
-    the arcs already are the CSR order.  The residual graph is capacity minus
-    flow: scipy's flow matrix is antisymmetric, so a forward arc keeps
-    ``cap - flow > 0`` and its reverse arc ``flow > 0``.
+    the arcs already are the CSR order; the source arcs come first.  scipy
+    returns the flow on every arc and, negated, on its reverse, in one CSR
+    structure; the residual graph keeps the entries of that structure with
+    capacity minus flow above zero (a forward arc with ``cap - flow > 0``, a
+    reverse arc with ``flow > 0``).  It is built from the arrays directly:
+    sparse-matrix arithmetic costs more than the rest of the residual.
     """
     import numpy as np
     from scipy.sparse import csr_matrix
@@ -271,10 +413,20 @@ def _max_flow_scipy(rows, cols, caps, n: int):
 
     indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
     graph = csr_matrix((caps, cols.astype(np.int32), indptr), shape=(n, n))
-    res = maximum_flow(graph, 0, 1)
-    residual = graph - res.flow
+    flow = maximum_flow(graph, 0, 1).flow
+    keys = np.repeat(np.arange(n), np.diff(flow.indptr)) * n + flow.indices
+    at = np.searchsorted(keys, rows * n + cols)
+    if not np.array_equal(keys[at], rows * n + cols):
+        raise InvariantError("max-flow result lacks an arc of its network")
+    left = -flow.data.astype(np.int64)
+    left[at] += caps
+    live = left > 0
     # float64 is the traversal's own dtype: any other costs a conversion
-    residual.data = (residual.data > 0).astype(np.float64)
-    residual.eliminate_zeros()
+    residual = csr_matrix(
+        (np.ones(np.count_nonzero(live)), flow.indices[live],
+         np.concatenate(([0], np.cumsum(live)))[flow.indptr]),
+        shape=(n, n),
+    )
     reach = breadth_first_order(residual, 0, directed=True, return_predecessors=False)
-    return int(res.flow_value), reach
+    # no arc enters the source, so the source arcs' flows are the first entries
+    return flow.data[at[: indptr[1]]], reach

@@ -99,10 +99,15 @@ class WeightedHypergraph:
     def induced_weight(self, s: frozenset[int] | set[int]) -> Fraction:
         """Total mass of hyperedges entirely contained in s."""
         s = frozenset(s)
-        ws = [e.weight for e in self.edges if e.vertices <= s]
-        # one Fraction over the common denominator, not one per addition
-        d = math.lcm(*(w.denominator for w in ws))
-        return Fraction(sum(w.numerator * (d // w.denominator) for w in ws), d)
+        # numerators summed per denominator, then one Fraction over the lcm of
+        # the distinct denominators: no Fraction addition, one lcm per call
+        by_den: dict[int, int] = {}
+        for e in self.edges:
+            if e.vertices <= s:
+                num, den = e.weight.as_integer_ratio()
+                by_den[den] = by_den.get(den, 0) + num
+        d = math.lcm(*by_den)
+        return Fraction(sum(num * (d // den) for den, num in by_den.items()), d)
 
     def residual_weight(self, s: frozenset[int] | set[int]) -> Fraction:
         """Mass not captured by s: total minus induced."""

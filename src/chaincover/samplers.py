@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -243,9 +244,12 @@ def sample_itinerary(table: GroupedDPTable, gen: np.random.Generator) -> tuple[i
 class TreeDPTable:
     """Counts counts[u][k] of u-rooted subtrees of cost k.
 
-    Derived once from ``children`` and ``counts``: ``factors[v]`` is v's
+    Derived from ``children`` and ``counts``: ``factors[v]`` is v's
     include-or-skip series and ``suffixes[u][i]`` the product of the factors
-    of ``children[u][i:]``, so a draw only looks them up.
+    of ``children[u][i:]``, so a draw only looks them up.  The suffix
+    products are the partial products of the pass that computes ``counts``,
+    so ``build_tree_table`` stores the ones its pass made; a table
+    constructed otherwise derives them on first use.
     """
 
     parent: tuple[int, ...]  # parent[root] == root
@@ -256,23 +260,19 @@ class TreeDPTable:
     counts: tuple[tuple[int, ...], ...]  # counts[u][k]
     partition: int
     factors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    suffixes: tuple[tuple[tuple[int, ...], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        factors = tuple(_child_factor(row) for row in self.counts)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(
-            self,
-            "suffixes",
-            tuple(_suffix_products(kids, factors, self.budget) for kids in self.children),
-        )
+        object.__setattr__(self, "factors", tuple(_child_factor(row) for row in self.counts))
+
+    @cached_property
+    def suffixes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple(_suffix_products(kids, self.factors, self.budget) for kids in self.children)
 
     def verify(self) -> None:
         for u in range(len(self.parent)):
-            expect = _tree_row(u, self.children, self.reference, self.budget, self.factors)
-            if tuple(self.counts[u]) != tuple(expect):
+            expect = _suffix_products(self.children[u], self.factors, self.budget)
+            row = _tree_row(expect[0], 0 if u in self.reference else 1, self.budget)
+            if tuple(self.counts[u]) != tuple(row) or self.suffixes[u] != expect:
                 raise InvariantError(f"tree DP row {u} inconsistent")
         if self.partition != sum(self.counts[self.root]):
             raise InvariantError("tree DP partition total inconsistent")
@@ -303,16 +303,9 @@ def _suffix_products(
     return tuple(reversed(suffixes))
 
 
-def _tree_row(
-    u: int,
-    children: Sequence[Sequence[int]],
-    reference: frozenset[int],
-    budget: int,
-    factors: Sequence[Sequence[int]],
-) -> list[int]:
-    acc = _suffix_products(children[u], factors, budget)[0]
-    w = 0 if u in reference else 1
-    return [acc[k - w] if k >= w else 0 for k in range(budget + 1)]
+def _tree_row(product: Sequence[int], cost: int, budget: int) -> list[int]:
+    """counts row of a node of ``cost`` whose children's factors multiply to ``product``."""
+    return [product[k - cost] if k >= cost else 0 for k in range(budget + 1)]
 
 
 def build_tree_table(
@@ -352,10 +345,12 @@ def build_tree_table(
         raise InputError("parent array does not describe one tree")
     counts: list[tuple[int, ...]] = [()] * n
     factors: list[tuple[int, ...]] = [()] * n
+    suffixes: list[tuple[tuple[int, ...], ...]] = [()] * n
     for u in reversed(top_down):  # children before parents
-        counts[u] = tuple(_tree_row(u, children, reference, budget, factors))
+        suffixes[u] = _suffix_products(children[u], factors, budget)
+        counts[u] = tuple(_tree_row(suffixes[u][0], 0 if u in reference else 1, budget))
         factors[u] = _child_factor(counts[u])
-    return TreeDPTable(
+    table = TreeDPTable(
         parent,
         root,
         reference,
@@ -364,6 +359,8 @@ def build_tree_table(
         tuple(counts),
         sum(counts[root]),
     )
+    vars(table)["suffixes"] = tuple(suffixes)  # the cached property, from this pass
+    return table
 
 
 def sample_subtree(table: TreeDPTable, gen: np.random.Generator) -> frozenset[int]:

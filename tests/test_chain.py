@@ -110,14 +110,15 @@ def test_routes_agree_where_auto_mixes(seed, monkeypatch):
     # large prime denominators: some contracted probes fit int32, others do not
     h = zipf_hypergraph(400 + seed, 30, 60, dens=(101, 103, 107, 109, 113, 127, 131, 137))
     routes = []
-    solve = LagrangianCutSolver.solve
+    solve_many = LagrangianCutSolver.solve_many
 
+    # solve is a one-probe solve_many, so this sees every probe
     def recording(self, *args, **kwargs):
-        result = solve(self, *args, **kwargs)
-        routes.append(result.route)
-        return result
+        results = solve_many(self, *args, **kwargs)
+        routes.extend(result.route for result in results)
+        return results
 
-    monkeypatch.setattr(LagrangianCutSolver, "solve", recording)
+    monkeypatch.setattr(LagrangianCutSolver, "solve_many", recording)
     auto = nested_chain(h)
     assert {"scipy", "dinic"} <= set(routes)
     assert nested_chain(h, method="dinic") == auto
@@ -138,12 +139,43 @@ def test_one_recount_per_probe(monkeypatch):
     # each probe's bookkeeping check recounts its set once; the chain reads
     # every set's mass off that probe instead of recounting it again
     calls = {"solve": 0, "induced_weight": 0}
-    for cls, name in ((LagrangianCutSolver, "solve"), (WeightedHypergraph, "induced_weight")):
-        def counting(*args, _name=name, _inner=getattr(cls, name), **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
+    solve_many, induced_weight = LagrangianCutSolver.solve_many, WeightedHypergraph.induced_weight
 
-        monkeypatch.setattr(cls, name, counting)
+    # solve is a one-probe solve_many, so this counts every probe
+    def solving(*args, **kwargs):
+        results = solve_many(*args, **kwargs)
+        calls["solve"] += len(results)
+        return results
+
+    def counting(*args, **kwargs):
+        calls["induced_weight"] += 1
+        return induced_weight(*args, **kwargs)
+
+    monkeypatch.setattr(LagrangianCutSolver, "solve_many", solving)
+    monkeypatch.setattr(WeightedHypergraph, "induced_weight", counting)
     chain = nested_chain(zipf_hypergraph(48, 48, 240))
     assert len(chain) >= 3
     assert calls["induced_weight"] == calls["solve"]
+
+
+def test_one_scipy_call_per_round(monkeypatch):
+    import scipy.sparse.csgraph as csgraph
+
+    calls = {"maximum_flow": 0, "solve_many": 0, "probes": 0}
+    maximum_flow, solve_many = csgraph.maximum_flow, LagrangianCutSolver.solve_many
+
+    def flowing(*args, **kwargs):
+        calls["maximum_flow"] += 1
+        return maximum_flow(*args, **kwargs)
+
+    def solving(self, probes, method="auto"):
+        calls["solve_many"] += 1
+        calls["probes"] += len(probes)
+        return solve_many(self, probes, method)
+
+    monkeypatch.setattr(csgraph, "maximum_flow", flowing)
+    monkeypatch.setattr(LagrangianCutSolver, "solve_many", solving)
+    chain = nested_chain(zipf_hypergraph(48, 48, 240))
+    assert len(chain) >= 3
+    # the top probe, then one call per round: one scipy call each
+    assert calls["maximum_flow"] == calls["solve_many"] < calls["probes"]

@@ -206,14 +206,15 @@ def test_bracket_order_checked(pair_edge):
 def test_probes_below_the_root_bracket_solve_smaller_networks(monkeypatch):
     h = zipf_hypergraph(48, 48, 240)
     probes = []
-    solve = LagrangianCutSolver.solve
+    solve_many = LagrangianCutSolver.solve_many
 
-    def recording(self, lam, method="auto", lo=frozenset(), hi=None):
-        result = solve(self, lam, method, lo, hi)
-        probes.append((lo, hi, result.arcs))
-        return result
+    # solve is a one-probe solve_many, so this sees every probe in order
+    def recording(self, batch, method="auto"):
+        results = solve_many(self, batch, method)
+        probes.extend((lo, hi, result.arcs) for (_, lo, hi), result in zip(batch, results))
+        return results
 
-    monkeypatch.setattr(LagrangianCutSolver, "solve", recording)
+    monkeypatch.setattr(LagrangianCutSolver, "solve_many", recording)
     chain = nested_chain(h)
     solver = LagrangianCutSolver(h)
     full = len(solver.edge_members) + sum(map(len, solver.edge_members)) + len(solver.support)
@@ -240,3 +241,78 @@ def test_solver_memory_follows_the_support_not_n():
         tracemalloc.stop()
     assert chain.sets[-1] == frozenset({0, 1, n - 1})
     assert peak < 4 * 2**20
+
+
+def _bracket_probes(h, rng, count):
+    """``count`` probes (lam, lo, hi) between random pairs of chain sets, plus the top probe."""
+    chain = nested_chain(h, method="dinic")
+    probes = [(Fraction(h.n + 1) / LagrangianCutSolver(h).min_positive, frozenset(), None)]
+    for _ in range(count):
+        i, j = sorted(rng.choice(len(chain), size=2, replace=False).tolist())
+        lam = Fraction(chain.sizes[j] - chain.sizes[i]) / (chain.induced[j] - chain.induced[i])
+        probes.append((lam, chain.sets[i], chain.sets[j]))
+    rng.shuffle(probes)
+    return probes
+
+
+def _facts(result):
+    return result.vertex_set, result.phi, result.cut_value, result.route, result.arcs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_many_equals_single_solves(seed):
+    # odd seeds: large prime denominators, where auto sends some probes to Dinic
+    dens = (2, 3, 5) if seed % 2 == 0 else (101, 103, 107, 109, 113, 127, 131, 137)
+    h = zipf_hypergraph(500 + seed, 30, 60, dens=dens)
+    solver = LagrangianCutSolver(h)
+    probes = _bracket_probes(h, np.random.default_rng(seed), 12)
+    many = solver.solve_many(probes)
+    singles = [solver.solve(lam, "auto", lo, hi) for lam, lo, hi in probes]
+    assert [_facts(r) for r in many] == [_facts(r) for r in singles]
+    assert [r.lam for r in many] == [lam for lam, _, _ in probes]
+    if seed % 2:
+        assert {"scipy", "dinic"} <= {r.route for r in many}
+    reference = solver.solve_many(probes, "dinic")
+    assert [r.vertex_set for r in many] == [r.vertex_set for r in reference]
+    assert [r.phi for r in many] == [r.phi for r in reference]
+
+
+def test_solve_many_forced_scipy_beyond_int32_is_an_input_error(pair_edge):
+    probes = [(Fraction(1), frozenset(), None), (Fraction(2**33), frozenset(), None)]
+    with pytest.raises(InputError, match=r"scipy.*lam=8589934592"):
+        LagrangianCutSolver(pair_edge).solve_many(probes, "scipy")
+
+
+def _count_scipy_calls(monkeypatch):
+    import scipy.sparse.csgraph as csgraph
+
+    calls = []
+    maximum_flow = csgraph.maximum_flow
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return maximum_flow(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "maximum_flow", counting)
+    return calls
+
+
+def test_packs_split_at_the_int32_limit(monkeypatch):
+    from chaincover import flows
+
+    h = zipf_hypergraph(48, 48, 240)
+    solver = LagrangianCutSolver(h)
+    probes = _bracket_probes(h, np.random.default_rng(7), 10)
+    chain = nested_chain(h)
+    calls = _count_scipy_calls(monkeypatch)
+    whole = solver.solve_many(probes)
+    assert len(calls) == 1
+    # the largest block alone still fits, but not all of them together
+    limit = max(s.inf for s in solver._blocks(probes)[3])
+    monkeypatch.setattr(flows, "_INT32_MAX", limit)
+    calls.clear()
+    split = solver.solve_many(probes)
+    assert 1 < len(calls) <= len(probes)
+    assert [_facts(r) for r in split] == [_facts(r) for r in whole]
+    assert {r.route for r in split} == {"scipy"}
+    assert nested_chain(h) == chain

@@ -9,20 +9,19 @@ probe the intersection of the value lines of the two bracketing sets; if the
 minimal minimizer at the probe equals the lower set, the probe is the single
 breakpoint between them, otherwise the probe's minimizer splits the interval.
 
-The intervals are walked in rounds.  A round is the row of brackets
+The intervals are walked in rounds.  A round is the row of open brackets
 (lo, e(lo), hi, e(hi)) at one depth of the divide and conquer, kept from
 left to right (increasing lam).  Their probes are independent, so the round
 solves them all with one ``LagrangianCutSolver.solve_many`` call, which
 packs their networks into one scipy max-flow call while int32 holds them
-all.  A probe that finds its lower set closes its bracket; one that finds a
-new set replaces its bracket by the two halves, in place.  Closed brackets
-stay in the row until every bracket to their left is closed too, and then
-leave it from the left, so breakpoints come out in increasing order without
-a sort.  Nesting depth is bounded by memory, not by Python's recursion
-limit.  The induced weight of a set found by a probe is read off the probe
-itself: the solver has just checked Phi = |K| - lam * e(K) by a recount on
-the full hypergraph, so e(K) = (|K| - Phi) / lam exactly, and no set is
-recounted twice.
+all.  A probe that finds its lower set closes its bracket, which leaves the
+row; one that finds a new set replaces its bracket by the two halves, in
+place.  The closed brackets are sorted by lam once at the end, which puts
+the breakpoints in increasing order.  Nesting depth is bounded by memory,
+not by Python's recursion limit.  The induced weight of a set found by a
+probe is read off the probe itself: the solver has just checked
+Phi = |K| - lam * e(K) by a recount on the full hypergraph, so
+e(K) = (|K| - Phi) / lam exactly, and no set is recounted twice.
 
 Because minimal minimizers grow with lam, the minimizer at a probe lies
 between its two brackets, so each probe solves only the subnetwork of the
@@ -102,8 +101,7 @@ class _Bracket(NamedTuple):
     e_lo: Fraction
     hi: frozenset[int]
     e_hi: Fraction
-    lam: Fraction          # where the value lines |K| - lam * e(K) of lo and hi cross
-    closed: bool = False   # the probe at lam found lo: lam is the breakpoint of hi
+    lam: Fraction  # where the value lines |K| - lam * e(K) of lo and hi cross
 
     @classmethod
     def open(cls, lo: frozenset[int], e_lo: Fraction, hi: frozenset[int], e_hi: Fraction):
@@ -113,7 +111,8 @@ class _Bracket(NamedTuple):
 def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
     """Compute the full chain for ``h``.
 
-    ``method`` picks the max-flow route ("auto", "scipy", "dinic").
+    ``method`` is "auto" (each probe's capacities pick its max-flow route)
+    or "dinic" (every probe takes the Dinic route).
     """
     solver = LagrangianCutSolver(h)
     base_induced = solver.const_mass  # empty-vertex hyperedges sit inside every set
@@ -131,21 +130,15 @@ def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
             f"{sorted(top)} vs {sorted(expected_top)}"
         )
 
-    sets = [frozenset()]
-    breakpoints: list[Fraction] = []
-    induced = [base_induced]
+    closed = []  # brackets whose probe found lo: lam is the breakpoint of hi
     row = [_Bracket.open(frozenset(), base_induced, top, solver.total)]
     while row:
-        cuts = iter(solver.solve_many([(b.lam, b.lo, b.hi) for b in row if not b.closed], method))
+        cuts = solver.solve_many([(b.lam, b.lo, b.hi) for b in row], method)
         brackets = []
-        for b in row:
-            if b.closed:
-                brackets.append(b)
-                continue
-            cut = next(cuts)
+        for b, cut in zip(row, cuts):
             mid = cut.vertex_set
             if mid == b.lo:
-                brackets.append(b._replace(closed=True))
+                closed.append(b)
                 continue
             if mid == b.hi:
                 raise InvariantError(
@@ -156,14 +149,14 @@ def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
             brackets += [
                 _Bracket.open(b.lo, b.e_lo, mid, e_mid), _Bracket.open(mid, e_mid, b.hi, b.e_hi)
             ]
-        # closed brackets left of every open one are final, in increasing order
-        done = next((j for j, b in enumerate(brackets) if not b.closed), len(brackets))
-        for b in brackets[:done]:
-            sets.append(b.hi)
-            breakpoints.append(b.lam)
-            induced.append(b.e_hi)
-        row = brackets[done:]
+        row = brackets
 
-    chain = NestedChain(tuple(sets), tuple(breakpoints), tuple(induced), solver.total)
+    closed.sort(key=lambda b: b.lam)
+    chain = NestedChain(
+        (frozenset(), *(b.hi for b in closed)),
+        tuple(b.lam for b in closed),
+        (base_induced, *(b.e_hi for b in closed)),
+        solver.total,
+    )
     chain.validate()
     return chain

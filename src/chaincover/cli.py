@@ -18,7 +18,7 @@ from .chain import nested_chain
 from .compress import select
 from .conformal import LabeledPair, calibrate, fixed_context_fit
 from .hypergraph import InputError, InvariantError, as_fraction
-from .io import canonical_json, load_chain, load_instance, load_pairs, result_csv, save_chain
+from .io import canonical_json, load_chain, load_instance, load_pairs, save_chain, write_result_csv
 
 _ENV_SEED = "CHAINCOVER_SEED"
 
@@ -53,12 +53,10 @@ def cli() -> None:
 @cli.command("chain")
 @click.argument("instance", type=click.Path(exists=False))
 @click.argument("out", type=click.Path())
-@click.option("--route", default="auto", show_default=True,
-              type=click.Choice(["auto", "scipy", "dinic"]), help="max-flow route")
-def cmd_chain(instance: str, out: str, route: str) -> None:
+def cmd_chain(instance: str, out: str) -> None:
     """Write the full nested chain of INSTANCE to OUT."""
     h, _ = load_instance(instance)
-    chain = nested_chain(h, method=route)
+    chain = nested_chain(h)
     save_chain(out, chain)
     click.echo(f"{len(chain.sets)} sets, {len(chain.breakpoints)} breakpoints -> {out}")
 
@@ -167,8 +165,7 @@ def cmd_experiment(kind: str, out: str, seeds: str | None, phi_grid: str | None,
         rows = xp.adversarial_rows(path_len, parallel, eps, kappa, seed_list)
     else:
         rows = xp.comparison_rows(kind, seed_list, phis, alpha)
-    with open(out, "w") as fh:
-        fh.write(result_csv(rows))
+    write_result_csv(out, rows)
     click.echo(f"{len(rows)} rows -> {out}")
 
 

@@ -74,22 +74,28 @@ def quantile_index(level: Fraction, m: int) -> int:
     return math.ceil(level * (m + 1))
 
 
-def calibrate_stage1(
-    pairs: Sequence[LabeledPair],
-    delta,
-    distance: Callable[[frozenset[int], frozenset[int]], float] = distance_edge_symdiff,
-) -> float:
+def calibrate_stage1(pairs: Sequence[LabeledPair], delta) -> float:
     """Distance cutoff: the ceil((1-delta)(m+1))-th smallest score, inf on overflow."""
     if not pairs:
         raise InputError("stage-1 calibration needs at least one pair")
     delta = as_fraction(delta)
     if not 0 < delta < 1:
         raise InputError(f"delta must lie in (0, 1), got {delta}")
-    scores = sorted(distance(p.prediction, p.truth) for p in pairs)
+    scores = sorted(distance_edge_symdiff(p.prediction, p.truth) for p in pairs)
     idx = quantile_index(1 - delta, len(scores))
     if idx > len(scores):
         return math.inf
     return scores[idx - 1]
+
+
+def _enumerated_candidates(pair: LabeledPair, d_star: float) -> WeightedHypergraph:
+    """Uniform-weight family of universe hyperedges within d* of the prediction."""
+    members = [
+        (e.vertices, 1)
+        for e in pair.universe.edges
+        if distance_edge_symdiff(pair.prediction, e.vertices) <= d_star
+    ]
+    return WeightedHypergraph.build(pair.universe.n, members)
 
 
 def calibrate_stage2(
@@ -97,8 +103,7 @@ def calibrate_stage2(
     d_star: float,
     phi,
     kappa,
-    edge_source: Callable[[LabeledPair, float], WeightedHypergraph] | None = None,
-    distance: Callable[[frozenset[int], frozenset[int]], float] = distance_edge_symdiff,
+    edge_source: Callable[[LabeledPair, float], WeightedHypergraph] = _enumerated_candidates,
 ) -> tuple[Fraction, tuple[EtaScore, ...]]:
     """Coverage threshold tau* plus the per-pair scores that produced it.
 
@@ -109,11 +114,9 @@ def calibrate_stage2(
     if not 0 <= phi <= 1:
         raise InputError(f"phi must lie in [0, 1], got {phi}")
     kappa = _check_kappa(kappa)  # also when every pair is censored
-    if edge_source is None:
-        edge_source = lambda pair, d: _enumerated_candidates(pair, d, distance)
     etas: list[EtaScore] = []
     for pair in pairs:
-        if distance(pair.prediction, pair.truth) > d_star:
+        if distance_edge_symdiff(pair.prediction, pair.truth) > d_star:
             etas.append(EtaScore(Fraction(1), True))
             continue
         family = edge_source(pair, d_star)
@@ -127,31 +130,20 @@ def calibrate_stage2(
     return tau_star, tuple(etas)
 
 
-def _enumerated_candidates(pair: LabeledPair, d_star: float, distance) -> WeightedHypergraph:
-    """Uniform-weight family of universe hyperedges within d* of the prediction."""
-    members = [
-        (e.vertices, 1)
-        for e in pair.universe.edges
-        if distance(pair.prediction, e.vertices) <= d_star
-    ]
-    return WeightedHypergraph.build(pair.universe.n, members)
-
-
 def calibrate(
     d1: Sequence[LabeledPair],
     d2: Sequence[LabeledPair],
     phi,
     delta=None,
     kappa=1,
-    edge_source=None,
-    distance: Callable[[frozenset[int], frozenset[int]], float] = distance_edge_symdiff,
+    edge_source=_enumerated_candidates,
 ) -> CalibrationState:
     """Run both stages.  delta defaults to 0.05 * phi."""
     phi = as_fraction(phi)
     delta = phi * Fraction(1, 20) if delta is None else as_fraction(delta)
     kappa = as_fraction(kappa)
-    d_star = calibrate_stage1(d1, delta, distance)
-    tau_star, etas = calibrate_stage2(d2, d_star, phi, kappa, edge_source, distance)
+    d_star = calibrate_stage1(d1, delta)
+    tau_star, etas = calibrate_stage2(d2, d_star, phi, kappa, edge_source)
     return CalibrationState(d_star, tau_star, phi, delta, kappa, etas)
 
 

@@ -25,14 +25,13 @@ built once per solver; each probe selects its subnetwork from it.
 
 All capacities are scaled to exact integers: weights share a common
 denominator D, lam = p/q, every capacity is multiplied by q*D and then
-divided by the gcd of all of them.  Two interchangeable max-flow routes are
-provided and cross-checked in tests:
+divided by the gcd of all of them.  Two max-flow routes share one contract
+(the arcs in CSR order and the node count in; the flow on every source arc
+and the source-side node ids out) and are cross-checked in tests:
 
-* ``scipy``: scipy.sparse.csgraph.maximum_flow on int32 capacities (fast path,
-  used automatically when the scaled capacities fit; forcing it on a probe
-  whose capacities do not fit is an ``InputError``);
-* ``dinic``: a pure-Python Dinic on arbitrary-precision integers (reference
-  route, always applicable).
+* ``scipy``: scipy.sparse.csgraph.maximum_flow on int32 capacities;
+* ``dinic``: a pure-Python Dinic on arbitrary-precision integers, for the
+  probes past int32, or for every probe under ``method="dinic"``.
 
 Packed probes.  ``solve_many`` solves several probes at once, as the chain
 does with all the probes of one round.  Each probe's network becomes a block
@@ -45,12 +44,12 @@ block.  At a max flow no residual path leads from the source to the sink,
 so residual reachability from the source never passes the sink into
 another block, and the reached nodes of each block are that block's own
 minimal minimizer.
-Each block's cut value is read from the flow on its own source arcs (row 0
-of scipy's flow matrix), not from the reached set, so the recount that
-``_check`` compares it with is a max-flow/min-cut certificate per probe.
-Blocks share a scipy call while the sum of their ``inf`` bounds fits int32,
-which bounds the total flow and every capacity of the call; a probe past
-int32 takes the Dinic route (under ``auto``) on its own network.
+Each block's cut value is the sum of the flows on its own source arcs, not
+read from the reached set, so the recount that ``_check`` compares it with
+is a max-flow/min-cut certificate per probe.  The capacities alone pick the
+route: blocks share a scipy call while the sum of their ``inf`` bounds fits
+int32, which bounds the total flow and every capacity of the call, and the
+blocks past int32 share one Dinic call.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
-from .hypergraph import InputError, InvariantError, WeightedHypergraph
+from .hypergraph import InvariantError, WeightedHypergraph
 
 __all__ = ["CutResult", "LagrangianCutSolver"]
 
@@ -93,64 +92,6 @@ class _Scale:
     base: int        # p * D * (e(kept) + e(lo)): Phi = (cut * g - base) / (q * D) + |lo|
     n_mid: int       # hyperedge -> vertex arcs
     n_free: int      # free vertices
-
-
-class _Dinic:
-    """Dinic max flow on Python ints (no overflow)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add(self, u: int, v: int, c: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int) -> tuple[int, list[int]]:
-        """Max-flow value and the source side of the final residual graph."""
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for a in self.adj[u]:
-                    v = self.to[a]
-                    if self.cap[a] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow, queue  # the BFS that missed t reached the source side
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.adj[u]):
-                    a = self.adj[u][it[u]]
-                    v = self.to[a]
-                    if self.cap[a] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[a]))
-                        if got:
-                            self.cap[a] -= got
-                            self.cap[a ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                # unbounded: a fixed cap would split one augmenting path into
-                # capacity/cap pushes, exponential in the capacity's bit length
-                pushed = dfs(s, math.inf)
-                if not pushed:
-                    break
-                flow += pushed
 
 
 class LagrangianCutSolver:
@@ -263,9 +204,8 @@ class LagrangianCutSolver:
         Node 0 is the source and node 1 the sink, shared by every block; then
         come the kept hyperedges, block by block, then the free vertices,
         block by block.  Returns ``rows`` and ``cols`` (source arcs, then
-        hyperedge->vertex arcs, then vertex->sink arcs), the node count, the
-        block of each source arc, and the block and support index of each
-        vertex node.
+        hyperedge->vertex arcs, then vertex->sink arcs), the node count, and
+        the block and support index of each vertex node.
         """
         import numpy as np
 
@@ -288,7 +228,7 @@ class LagrangianCutSolver:
             vnode[a_block, self._arc_vertex[a_idx]],
             np.ones(len(v_idx), dtype=np.intp),
         ))
-        return rows, cols, n, e_block, v_block, v_idx
+        return rows, cols, n, v_block, v_idx
 
     def solve(
         self,
@@ -313,14 +253,15 @@ class LagrangianCutSolver:
     ) -> list[CutResult]:
         """``solve(lam, method, lo, hi)`` of every probe ``(lam, lo, hi)``, in order.
 
-        The probes' networks are blocks of one network that share only the
-        source and the sink, so every block that fits int32 goes into one
-        scipy call while the sum of their ``inf`` bounds does; a block that
-        needs the Dinic route is solved on its own.
+        ``method`` is ``"auto"`` or ``"dinic"``.  The probes' networks are
+        blocks of networks that share only the source and the sink.  Under
+        ``auto``, blocks that fit int32 share a scipy call while the sum of
+        their ``inf`` bounds does; the rest of the probes, or all of them
+        under ``dinic``, share one Dinic call.
         """
         import numpy as np
 
-        if method not in ("auto", "scipy", "dinic"):
+        if method not in ("auto", "dinic"):
             raise ValueError(f"unknown max-flow route {method!r}")
         for lam, lo, hi in probes:
             if lam < 0:
@@ -335,52 +276,41 @@ class LagrangianCutSolver:
             ]
 
         keep, free, mid, scales = self._blocks(probes)
-        packs: list[list[int]] = []  # blocks of one scipy call each
-        room = 0  # int32 room left in the last pack
-        dinic = []
+        packs = []  # (max_flow, route, probe indices) of one max-flow call each
+        room = 0  # int32 room left in the last scipy pack
+        dinic: list[int] = []
         for i, s in enumerate(scales):
-            fits = s.inf <= _INT32_MAX
-            if method == "dinic" or (method == "auto" and not fits):
+            if method == "dinic" or s.inf > _INT32_MAX:
                 dinic.append(i)
                 continue
-            if not fits:
-                raise InputError(
-                    f"route 'scipy' cannot solve at lam={s.lam}: capacities up to {s.inf} "
-                    "exceed int32; use route 'dinic' or 'auto'"
-                )
             if s.inf > room:
-                packs.append([])
+                packs.append((_max_flow_scipy, "scipy", []))
                 room = _INT32_MAX
-            packs[-1].append(i)
+            packs[-1][2].append(i)
             room -= s.inf
+        if dinic:
+            packs.append((_max_flow_dinic, "dinic", dinic))
 
         results: list[CutResult] = [None] * len(probes)  # type: ignore[list-item]
-        for route, idx in [("scipy", pack) for pack in packs] + [("dinic", [i]) for i in dinic]:
-            rows, cols, n, e_block, v_block, v_idx = self._pack(keep[idx], free[idx], mid[idx])
+        for max_flow, route, idx in packs:
+            rows, cols, n, v_block, v_idx = self._pack(keep[idx], free[idx], mid[idx])
             group = [scales[i] for i in idx]
             caps = list(chain.from_iterable(s.src for s in group))
             for s in group:
                 caps += [s.inf] * s.n_mid
             for s in group:
                 caps += [s.sink] * s.n_free
-            if route == "scipy":
-                src_flow, reach = _max_flow_scipy(rows, cols, np.array(caps, dtype=np.int32), n)
-                # float64 sums are exact: each block's flow is below its inf
-                cuts = np.bincount(e_block, weights=src_flow, minlength=len(idx)).astype(np.int64)
-                cuts = cuts.tolist()
-            else:
-                net = _Dinic(n)
-                for u, v, c in zip(rows.tolist(), cols.tolist(), caps):
-                    net.add(u, v, c)
-                flow, side = net.max_flow(0, 1)
-                cuts, reach = [flow], np.array(side, dtype=np.intp)
+            src_flow, reach = max_flow(rows, cols, caps, n)
             first_v = n - len(v_idx)
             node = np.sort(reach[reach >= first_v]) - first_v  # block by block
             reached = self._vertices[v_idx[node]].tolist()
             at = np.searchsorted(v_block[node], np.arange(len(idx) + 1)).tolist()
+            start = 0  # the block's first source arc
             for j, (i, s) in enumerate(zip(idx, group)):
                 k = s.lo | frozenset(reached[at[j]:at[j + 1]])
-                phi = Fraction(cuts[j] * s.g - s.base, s.lam.denominator * self.denom) + len(s.lo)
+                cut = sum(src_flow[start:start + len(s.src)])
+                start += len(s.src)
+                phi = Fraction(cut * s.g - s.base, s.lam.denominator * self.denom) + len(s.lo)
                 if self.const_mass:
                     phi -= s.lam * self.const_mass
                 self._check(s.lam, phi, k)
@@ -399,18 +329,23 @@ class LagrangianCutSolver:
 def _max_flow_scipy(rows, cols, caps, n: int):
     """Flow on each source arc and the source-side node ids, by scipy on int32 capacities.
 
-    ``rows`` must be non-decreasing and ``cols`` increasing within a row, so
-    the arcs already are the CSR order; the source arcs come first.  scipy
-    returns the flow on every arc and, negated, on its reverse, in one CSR
-    structure; the residual graph keeps the entries of that structure with
-    capacity minus flow above zero (a forward arc with ``cap - flow > 0``, a
-    reverse arc with ``flow > 0``).  It is built from the arrays directly:
-    sparse-matrix arithmetic costs more than the rest of the residual.
+    The arcs run from ``rows`` to ``cols`` with the integer capacities
+    ``caps``; node 0 is the source and node 1 the sink.  ``rows`` must be
+    non-decreasing and ``cols`` increasing within a row, so the arcs already
+    are the CSR order; the source arcs come first.  Returns their flows as a
+    list, in order, and the node ids reached from the source in the residual
+    graph.  scipy returns the flow on every arc and, negated, on its reverse,
+    in one CSR structure; the residual graph keeps the entries of that
+    structure with capacity minus flow above zero (a forward arc with
+    ``cap - flow > 0``, a reverse arc with ``flow > 0``).  It is built from
+    the arrays directly: sparse-matrix arithmetic costs more than the rest
+    of the residual.
     """
     import numpy as np
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
+    caps = np.array(caps, dtype=np.int32)
     indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
     graph = csr_matrix((caps, cols.astype(np.int32), indptr), shape=(n, n))
     flow = maximum_flow(graph, 0, 1).flow
@@ -429,4 +364,60 @@ def _max_flow_scipy(rows, cols, caps, n: int):
     )
     reach = breadth_first_order(residual, 0, directed=True, return_predecessors=False)
     # no arc enters the source, so the source arcs' flows are the first entries
-    return flow.data[at[: indptr[1]]], reach
+    return flow.data[at[: indptr[1]]].tolist(), reach
+
+
+def _max_flow_dinic(rows, cols, caps, n: int):
+    """Flow on each source arc and the source-side node ids, by Dinic on Python ints.
+
+    The contract of ``_max_flow_scipy``, on capacities of any size.  Input
+    arc ``i`` is residual arc ``2 * i`` and its reverse ``2 * i + 1``, which
+    starts empty and so holds the arc's flow.
+    """
+    import numpy as np
+
+    rows = rows.tolist()
+    adj: list[list[int]] = [[] for _ in range(n)]
+    to: list[int] = []
+    cap: list[int] = []
+    for u, v, c in zip(rows, cols.tolist(), caps):
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+    while True:
+        level = [-1] * n
+        level[0] = 0
+        queue = [0]
+        for u in queue:
+            for a in adj[u]:
+                v = to[a]
+                if cap[a] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[1] < 0:
+            break  # the BFS that missed the sink reached the source side
+        it = [0] * n
+
+        def dfs(u: int, pushed: int) -> int:
+            if u == 1:
+                return pushed
+            while it[u] < len(adj[u]):
+                a = adj[u][it[u]]
+                v = to[a]
+                if cap[a] > 0 and level[v] == level[u] + 1:
+                    got = dfs(v, min(pushed, cap[a]))
+                    if got:
+                        cap[a] -= got
+                        cap[a ^ 1] += got
+                        return got
+                it[u] += 1
+            return 0
+
+        # unbounded: a fixed cap would split one augmenting path into
+        # capacity/cap pushes, exponential in the capacity's bit length
+        while dfs(0, math.inf):
+            pass
+    return cap[1 : 2 * rows.count(0) : 2], np.array(queue, dtype=np.intp)

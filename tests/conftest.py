@@ -1,8 +1,23 @@
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import chaincover
 from chaincover import WeightedHypergraph
+
+
+def child_env(env=None) -> dict[str, str]:
+    """``env`` (default: this process's) with the imported package's root first on PYTHONPATH.
+
+    The root is absolute, so that a child started in another directory finds
+    this chaincover even when PYTHONPATH names a relative "src".
+    """
+    env = dict(os.environ if env is None else env)
+    root = str(Path(chaincover.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

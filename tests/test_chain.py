@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chaincover import InputError, InvariantError, NestedChain, WeightedHypergraph, nested_chain
+from chaincover import InvariantError, NestedChain, WeightedHypergraph, nested_chain
 from chaincover.flows import LagrangianCutSolver
 
 from oracles import chain_oracle, random_hypergraph, zipf_hypergraph
@@ -68,17 +68,36 @@ def test_vertexless_mass_shifts_induced_floor():
     assert chain.sets == (frozenset(), frozenset({0}))
 
 
+def _record_routes(monkeypatch) -> list[str]:
+    """The route of every probe solved from now on, in order."""
+    routes = []
+    solve_many = LagrangianCutSolver.solve_many
+
+    # solve is a one-probe solve_many, so this sees every probe
+    def recording(self, *args, **kwargs):
+        results = solve_many(self, *args, **kwargs)
+        routes.extend(result.route for result in results)
+        return results
+
+    monkeypatch.setattr(LagrangianCutSolver, "solve_many", recording)
+    return routes
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("method", ["scipy", "dinic", "auto"])
-def test_chain_matches_oracle_on_randoms(seed, method):
+def test_chain_matches_oracle_on_randoms(seed, method, monkeypatch):
+    # "scipy": the default method, whose probes must all take the scipy route here
+    routes = _record_routes(monkeypatch)
     rng = np.random.default_rng(2000 + seed)
     for _ in range(4):
         h = random_hypergraph(rng, 7, 9)
-        chain = nested_chain(h, method=method)
+        chain = nested_chain(h, method="auto" if method == "scipy" else method)
         want_sets, want_bps = chain_oracle(h)
         assert list(chain.sets) == want_sets
         assert list(chain.breakpoints) == want_bps
         assert chain.sets[-1] == h.support
+    if method == "scipy":
+        assert set(routes) == {"scipy"}
 
 
 def test_validate_rejects_corruption(three_path_instance):
@@ -109,30 +128,19 @@ def test_validate_rejects_corruption(three_path_instance):
 def test_routes_agree_where_auto_mixes(seed, monkeypatch):
     # large prime denominators: some contracted probes fit int32, others do not
     h = zipf_hypergraph(400 + seed, 30, 60, dens=(101, 103, 107, 109, 113, 127, 131, 137))
-    routes = []
-    solve_many = LagrangianCutSolver.solve_many
-
-    # solve is a one-probe solve_many, so this sees every probe
-    def recording(self, *args, **kwargs):
-        results = solve_many(self, *args, **kwargs)
-        routes.extend(result.route for result in results)
-        return results
-
-    monkeypatch.setattr(LagrangianCutSolver, "solve_many", recording)
+    routes = _record_routes(monkeypatch)
     auto = nested_chain(h)
     assert {"scipy", "dinic"} <= set(routes)
     assert nested_chain(h, method="dinic") == auto
-    # the probes auto sends to Dinic are exactly those int32 cannot hold
-    with pytest.raises(InputError, match="scipy"):
-        nested_chain(h, method="scipy")
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_all_routes_agree_within_int32(seed):
+def test_all_routes_agree_within_int32(seed, monkeypatch):
     h = zipf_hypergraph(300 + seed, 30, 70, dens=(2, 3, 5))
     chain = nested_chain(h, method="dinic")
-    assert nested_chain(h, method="scipy") == chain
-    assert nested_chain(h, method="auto") == chain
+    routes = _record_routes(monkeypatch)
+    assert nested_chain(h) == chain
+    assert set(routes) == {"scipy"}
 
 
 def test_one_recount_per_probe(monkeypatch):

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-import chaincover
 from chaincover.chain import nested_chain
 from chaincover.cli import cli, main
 from chaincover.compress import select
@@ -25,10 +24,7 @@ from chaincover.io import (
     save_instance,
 )
 
-# The directory holding the imported package, absolute so that a child
-# started in tmp_path finds it even when PYTHONPATH names a relative "src".
-PACKAGE_ROOT = str(Path(chaincover.__file__).resolve().parents[1])
-
+from conftest import child_env
 
 @pytest.fixture
 def runner():
@@ -47,14 +43,9 @@ def _run(args, cwd, env=None):
 
     ``python -m chaincover.cli`` needs no installed console script.
     """
-    env = dict(os.environ if env is None else env)
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [PACKAGE_ROOT, inherited] if inherited else [PACKAGE_ROOT]
-    )
     return subprocess.run(
         [sys.executable, "-m", "chaincover.cli", *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=child_env(env), capture_output=True, text=True, timeout=120,
     )
 
 
@@ -67,6 +58,9 @@ def test_chain_command(runner, tmp_path, instance_file, three_path_instance):
     direct = nested_chain(three_path_instance)
     assert loaded.sets == direct.sets
     assert loaded.breakpoints == direct.breakpoints
+    # the capacities pick the max-flow route: no option selects it
+    dropped = runner.invoke(cli, ["chain", instance_file, out, "--route", "scipy"])
+    assert dropped.exit_code == 2 and "--route" in dropped.output
 
 
 def test_compress_command_on_instance(runner, instance_file):
@@ -287,17 +281,3 @@ def test_malformed_file_is_an_input_error(tmp_path, monkeypatch, capsys, args, d
     assert stop.value.code == 1
     assert capsys.readouterr().err.startswith("input error:")
 
-
-def test_scipy_route_beyond_int32_is_an_input_error(tmp_path, monkeypatch, capsys):
-    # the top probe needs capacities near 3**21, which int32 cannot hold
-    doc = {"n": 2, "edges": [{"v": [0, 1], "w": f"1/{2**20}"}, {"v": [0, 1], "w": f"1/{3**20}"}]}
-    (tmp_path / "doc.json").write_text(json.dumps(doc))
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sys, "argv", ["chaincover", "chain", "doc.json", "out.json", "--route", "scipy"])
-    with pytest.raises(SystemExit) as stop:
-        main()
-    assert stop.value.code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("input error:")
-    assert "scipy" in err
-    assert not (tmp_path / "out.json").exists()

@@ -1,17 +1,15 @@
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import chaincover
-from chaincover import InputError, WeightedHypergraph, nested_chain
+from chaincover import WeightedHypergraph, nested_chain
 from chaincover.flows import LagrangianCutSolver
 
+from conftest import child_env
 from oracles import mass_table, minimal_minimizer, phi_minimizers, random_hypergraph, zipf_hypergraph
 
 
@@ -53,8 +51,10 @@ def test_negative_lambda_rejected(pair_edge):
 
 
 def test_unknown_route_rejected(pair_edge):
-    with pytest.raises(ValueError):
-        LagrangianCutSolver(pair_edge).solve(Fraction(1), method="bfs")
+    # "scipy" is no method: the capacities pick the scipy route under "auto"
+    for method in ("bfs", "scipy"):
+        with pytest.raises(ValueError):
+            LagrangianCutSolver(pair_edge).solve(Fraction(1), method=method)
 
 
 def test_no_network_edges_is_trivial():
@@ -74,17 +74,12 @@ def test_auto_gate_routes_large_capacities_to_dinic(pair_edge):
     assert big.vertex_set == frozenset({0, 1})
 
 
-def test_forced_scipy_beyond_int32_is_an_input_error(pair_edge):
-    # a silent int32 cast would wrap 2**33 to 0 and solve the wrong network
-    with pytest.raises(InputError, match=r"scipy.*lam=8589934592"):
-        LagrangianCutSolver(pair_edge).solve(Fraction(2**33), method="scipy")
-
-
 def test_forced_routes_agree(pair_edge):
     solver = LagrangianCutSolver(pair_edge)
     for lam in (Fraction(1, 3), Fraction(2), Fraction(9, 4)):
-        a = solver.solve(lam, method="scipy")
+        a = solver.solve(lam)
         b = solver.solve(lam, method="dinic")
+        assert (a.route, b.route) == ("scipy", "dinic")
         assert (a.vertex_set, a.cut_value, a.phi) == (b.vertex_set, b.cut_value, b.phi)
 
 
@@ -100,8 +95,9 @@ def test_routes_and_oracle_agree_on_randoms(seed):
             want_set = minimal_minimizer(h, lam, table)
             if not solver.edge_members:
                 continue
-            a = solver.solve(lam, method="scipy")
+            a = solver.solve(lam)
             b = solver.solve(lam, method="dinic")
+            assert (a.route, b.route) == ("scipy", "dinic")
             assert a.vertex_set == b.vertex_set == want_set
             assert a.phi == b.phi == want_phi
             assert a.cut_value == b.cut_value == want_phi + lam * h.total_weight
@@ -139,11 +135,8 @@ print(json.dumps({
 
 def _run_child(code: str):
     """Run ``code`` in a fresh interpreter that imports this chaincover; its stdout as JSON."""
-    env = dict(os.environ)
-    root = str(Path(chaincover.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -189,9 +182,10 @@ def test_contracted_probe_equals_full_solve(seed):
         for j in range(i + 1, len(chain)):
             # where the value lines of levels i and j cross
             lam = Fraction(chain.sizes[j] - chain.sizes[i]) / (chain.induced[j] - chain.induced[i])
-            for method in ("scipy", "dinic"):
+            for method, route in (("auto", "scipy"), ("dinic", "dinic")):
                 full = solver.solve(lam, method)
                 part = solver.solve(lam, method, chain.sets[i], chain.sets[j])
+                assert part.route == full.route == route
                 assert (part.vertex_set, part.phi, part.cut_value) == (
                     full.vertex_set, full.phi, full.cut_value
                 )
@@ -260,7 +254,9 @@ def _facts(result):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_solve_many_equals_single_solves(seed):
+def test_solve_many_equals_single_solves(seed, monkeypatch):
+    from chaincover import flows
+
     # odd seeds: large prime denominators, where auto sends some probes to Dinic
     dens = (2, 3, 5) if seed % 2 == 0 else (101, 103, 107, 109, 113, 127, 131, 137)
     h = zipf_hypergraph(500 + seed, 30, 60, dens=dens)
@@ -272,15 +268,19 @@ def test_solve_many_equals_single_solves(seed):
     assert [r.lam for r in many] == [lam for lam, _, _ in probes]
     if seed % 2:
         assert {"scipy", "dinic"} <= {r.route for r in many}
+    dinic_calls = []
+    max_flow_dinic = flows._max_flow_dinic
+
+    def counting(*args):
+        dinic_calls.append(1)
+        return max_flow_dinic(*args)
+
+    monkeypatch.setattr(flows, "_max_flow_dinic", counting)
     reference = solver.solve_many(probes, "dinic")
+    assert len(dinic_calls) == 1  # all probes of one call share one Dinic network
+    assert {r.route for r in reference} == {"dinic"}
     assert [r.vertex_set for r in many] == [r.vertex_set for r in reference]
     assert [r.phi for r in many] == [r.phi for r in reference]
-
-
-def test_solve_many_forced_scipy_beyond_int32_is_an_input_error(pair_edge):
-    probes = [(Fraction(1), frozenset(), None), (Fraction(2**33), frozenset(), None)]
-    with pytest.raises(InputError, match=r"scipy.*lam=8589934592"):
-        LagrangianCutSolver(pair_edge).solve_many(probes, "scipy")
 
 
 def _count_scipy_calls(monkeypatch):

@@ -6,7 +6,6 @@ CHAINCOVER_SEED supplies the default seed where one applies.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from fractions import Fraction
@@ -14,11 +13,12 @@ from fractions import Fraction
 import click
 
 from . import experiments as xp
-from .chain import nested_chain
+from .chain import NestedChain, nested_chain
 from .compress import select
 from .conformal import LabeledPair, calibrate, fixed_context_fit
 from .hypergraph import InputError, InvariantError, as_fraction
-from .io import canonical_json, load_chain, load_instance, load_pairs, save_chain, write_result_csv
+from .io import canonical_json, load_chain_or_instance, load_instance, load_pairs, save_chain
+from .io import rational_to_text as text, write_result_csv
 
 _ENV_SEED = "CHAINCOVER_SEED"
 
@@ -67,32 +67,18 @@ def cmd_chain(instance: str, out: str) -> None:
 @click.option("--kappa", default="1", show_default=True, help="slack parameter > 0")
 def cmd_compress(source: str, tau: str, kappa: str) -> None:
     """Select a vertex set from SOURCE (an instance or a saved chain)."""
-    doc = _peek_json(source)
-    if "sets" in doc:
-        chain = load_chain(source)
-    else:
-        h, _ = load_instance(source)
-        chain = nested_chain(h)
+    chain = load_chain_or_instance(source)
+    if not isinstance(chain, NestedChain):
+        chain = nested_chain(chain)
     sel = select(chain, as_fraction(tau), as_fraction(kappa))
     report = {
         "vertices": sorted(sel.vertex_set),
         "size": len(sel.vertex_set),
-        "residual": str(sel.residual),
-        "residual_bound": str(sel.bound),
+        "residual": text(sel.residual),
+        "residual_bound": text(sel.bound),
         "certified": sel.residual <= sel.bound,
     }
     click.echo(canonical_json(report), nl=False)
-
-
-def _peek_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: expected a JSON object")
-    return doc
 
 
 @cli.command("calibrate")
@@ -118,11 +104,11 @@ def cmd_calibrate(pairs: str, phi: str, delta: str | None, kappa: str) -> None:
     overflow = state.tau_star == 1 and all(e.value < 1 for e in state.etas)
     report = {
         "d_star": "inf" if state.d_star == float("inf") else state.d_star,
-        "tau_star": str(state.tau_star),
-        "phi": str(state.phi),
-        "delta": str(state.delta),
-        "kappa": str(state.kappa),
-        "etas": [str(e.value) for e in state.etas],
+        "tau_star": text(state.tau_star),
+        "phi": text(state.phi),
+        "delta": text(state.delta),
+        "kappa": text(state.kappa),
+        "etas": [text(e.value) for e in state.etas],
         "censored": [e.censored for e in state.etas],
         "quantile_overflow": overflow,
     }
@@ -141,7 +127,7 @@ def cmd_fixed(samples: str, phi: str) -> None:
         "vertices": sorted(fit.vertex_set),
         "size": len(fit.vertex_set),
         "level_count": fit.level_count,
-        "second_half_coverage": str(fit.second_half_coverage),
+        "second_half_coverage": text(fit.second_half_coverage),
     }
     click.echo(canonical_json(report), nl=False)
 

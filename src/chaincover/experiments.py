@@ -199,17 +199,12 @@ def gen_trip_samples(cfg: TripPlanConfig, seed: int) -> TripData:
         g * cfg.group_size + a for g in range(cfg.groups) for a in range(cfg.core_per_group)
     )
     degenerate = False
-    train = []
-    for s in range(cfg.n_train):
-        sample, fb = _trip_sample(cfg, seed, _TRAIN, s)
-        degenerate = degenerate or fb
-        train.append(sample)
-    test = []
-    for s in range(cfg.n_test):
-        sample, fb = _trip_sample(cfg, seed, _TEST, s)
-        degenerate = degenerate or fb
-        test.append(sample)
-    return TripData(cfg, seed, cfg.n_vertices, tuple(train), tuple(test), core, degenerate)
+    splits = []
+    for tag, count in ((_TRAIN, cfg.n_train), (_TEST, cfg.n_test)):
+        drawn = [_trip_sample(cfg, seed, tag, s) for s in range(count)]
+        degenerate = degenerate or any(fb for _, fb in drawn)
+        splits.append(tuple(sample for sample, _ in drawn))
+    return TripData(cfg, seed, cfg.n_vertices, *splits, core, degenerate)
 
 
 # ---------------------------------------------------------------- adversarial
@@ -311,17 +306,14 @@ def comparison_rows(kind: str, seeds: Sequence[int], phi_grid: Sequence,
             data = gen_trip_samples(TripPlanConfig(core_density=core_density), seed)
         else:
             raise InputError(f"unknown comparison kind {kind!r}; pick grid or trip")
-        rows.extend(run_comparison(data.n, data.train, data.test, phi_grid, methods, seed))
-    by_method_seed: dict[tuple[str, int], list[ResultRow]] = {}
-    for r in rows:
-        by_method_seed.setdefault((r.method, r.seed), []).append(r)
-    for (method, seed), group in by_method_seed.items():
-        group.sort(key=lambda r: r.phi)
-        for prev, cur in zip(group, group[1:]):
-            if cur.size < prev.size:
+        seed_rows = run_comparison(data.n, data.train, data.test, phi_grid, methods, seed)
+        # sorted by (method, phi): each method's rows are consecutive, phi ascending
+        for prev, cur in zip(seed_rows, seed_rows[1:]):
+            if cur.method == prev.method and cur.size < prev.size:
                 raise InvariantError(
-                    f"{method} seed {seed}: size decreased from phi={prev.phi} to {cur.phi}"
+                    f"{cur.method} seed {seed}: size decreased from phi={prev.phi} to {cur.phi}"
                 )
+        rows.extend(seed_rows)
     return rows
 
 
@@ -336,23 +328,18 @@ def adversarial_rows(a: int, b: int, eps, kappa, seeds: Sequence[int]) -> list[R
     tau = 1 - eps
     chain = nested_chain(h)
     sel = select(chain, tau, kappa)
-    eval_samples = [e.vertices for e in h.edges]
-    train = list(eval_samples)
-    # evaluation replicates edges proportionally to exact masses so that
-    # covered fraction == covered mass fraction
-    scale = math.lcm(*(e.weight.denominator for e in h.edges))
-    weighted_eval = [
-        s for s, e in zip(eval_samples, h.edges) for _ in range(int(e.weight * scale))
-    ]
-    rev, _ = reverse_greedy(train, weighted_eval, [tau], h.n)
+    samples = [e.vertices for e in h.edges]
+    # evaluation repeats edge i a[i] times, its integer mass over the common
+    # denominator, so that covered fraction == covered mass fraction
+    weighted_eval = [s for s, k in zip(samples, h.masses[1]) for _ in range(k)]
+    rev = reverse_greedy(samples, weighted_eval, [tau], h.n)[0][tau]
+    cov_chain = 1 - sel.residual / h.total_weight
     rows = []
     for seed in seeds:
-        cov_chain = 1 - sel.residual / h.total_weight
         rows.append(ResultRow("chain", tau, len(sel.vertex_set), cov_chain, seed))
-        res = rev[tau]
-        rows.append(ResultRow("reverse_greedy", tau, len(res.vertex_set), res.coverage, seed))
+        rows.append(ResultRow("reverse_greedy", tau, len(rev.vertex_set), rev.coverage, seed))
     if len(sel.vertex_set) != b:
         raise InvariantError(f"chain selector kept {len(sel.vertex_set)} vertices, wanted {b}")
-    if len(rev[tau].vertex_set) < a:
-        raise InvariantError(f"reverse greedy kept {len(rev[tau].vertex_set)} < {a} vertices")
+    if len(rev.vertex_set) < a:
+        raise InvariantError(f"reverse greedy kept {len(rev.vertex_set)} < {a} vertices")
     return rows

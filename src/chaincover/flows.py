@@ -23,11 +23,13 @@ solves the network of those hyperedges (arcs only to members outside lo) and
 the vertices of hi - lo, and adds the constant back.  The arc structure is
 built once per solver; each probe selects its subnetwork from it.
 
-All capacities are scaled to exact integers: weights share a common
-denominator D, lam = p/q, every capacity is multiplied by q*D and then
-divided by the gcd of all of them.  Two max-flow routes share one contract
-(the arcs in CSR order and the node count in; the flow on every source arc
-and the source-side node ids out) and are cross-checked in tests:
+All capacities are scaled to exact integers: with the hypergraph's common
+denominator D (``WeightedHypergraph.masses``) and lam = p/q, every capacity
+is multiplied by q*D and divided by the gcd of all of them, which leaves the
+primitive integer vector proportional to (p * w_e, q) whatever common
+multiple D is.  Two max-flow routes share one contract (the arcs in CSR
+order and the node count in; the flow on every source arc and the
+source-side node ids out) and are cross-checked in tests:
 
 * ``scipy``: scipy.sparse.csgraph.maximum_flow on int32 capacities;
 * ``dinic``: a pure-Python Dinic on arbitrary-precision integers, for the
@@ -110,20 +112,17 @@ class LagrangianCutSolver:
         import numpy as np
 
         self.h = h
-        pos = [e for e in h.edges if e.weight and e.vertices]
-        # mass of positive empty-vertex hyperedges: induced by every set,
-        # constant in K, so it never enters the network
-        empty = [e.weight for e in h.edges if e.weight and not e.vertices]
-        self.const_mass = sum(empty, Fraction(0))
-        self.denom = math.lcm(*(e.weight.denominator for e in pos))
-        self.edge_members: list[tuple[int, ...]] = [tuple(sorted(e.vertices)) for e in pos]
-        self.edge_nums: list[int] = [
-            e.weight.numerator * (self.denom // e.weight.denominator) for e in pos
-        ]
+        self.denom, masses = h.masses
+        pos = [(e, a) for e, a in zip(h.edges, masses) if a and e.vertices]
+        # empty-vertex hyperedges lie inside every set: their mass is part
+        # of e(lo) at every probe and never enters the network
+        self._empty = sum(a for e, a in zip(h.edges, masses) if not e.vertices)
+        self.const_mass = Fraction(self._empty, self.denom)
+        self.edge_members: list[tuple[int, ...]] = [tuple(sorted(e.vertices)) for e, _ in pos]
+        self.edge_nums: list[int] = [a for _, a in pos]
         self.support: tuple[int, ...] = tuple(sorted({v for m in self.edge_members for v in m}))
-        self.total = Fraction(sum(self.edge_nums), self.denom) + self.const_mass
-        lightest = [Fraction(min(self.edge_nums), self.denom)] if pos else []
-        self.min_positive = min(lightest + empty, default=Fraction(0))
+        self.total = h.total_weight
+        self.min_positive = Fraction(min(filter(None, masses), default=0), self.denom)
         self._index = {v: i for i, v in enumerate(self.support)}
         sizes = [len(m) for m in self.edge_members]
         self._arc_edge = np.repeat(np.arange(len(pos)), sizes)
@@ -188,7 +187,7 @@ class LagrangianCutSolver:
             # residual reachability unchanged and lets more probes fit int32
             p, q = lam.numerator, lam.denominator
             nums = [nums_of[e] for e in kept[k_at[i]:k_at[i + 1]]]
-            e_lo = sum(nums_of[e] for e in below[b_at[i]:b_at[i + 1]])
+            e_lo = self._empty + sum(nums_of[e] for e in below[b_at[i]:b_at[i + 1]])
             g = math.gcd(p * math.gcd(*nums), q * d)
             src = [p * a // g for a in nums]
             sink = q * d // g
@@ -268,12 +267,9 @@ class LagrangianCutSolver:
                 raise ValueError(f"multiplier must be non-negative, got {lam}")
             if hi is not None and not lo <= hi:
                 raise ValueError("lower bracket is not inside the upper bracket")
-        if not self.edge_members:
-            phis = [-lam * self.const_mass for lam, _, _ in probes]
-            return [
-                CutResult(lam, phi + lam * self.total, phi, frozenset(), "trivial", 0)
-                for (lam, _, _), phi in zip(probes, phis)
-            ]
+        if not self.edge_members:  # all mass lies in every set: K = {} and a zero cut
+            return [CutResult(lam, Fraction(0), -lam * self.total, frozenset(), "trivial", 0)
+                    for lam, _, _ in probes]
 
         keep, free, mid, scales = self._blocks(probes)
         packs = []  # (max_flow, route, probe indices) of one max-flow call each
@@ -311,8 +307,6 @@ class LagrangianCutSolver:
                 cut = sum(src_flow[start:start + len(s.src)])
                 start += len(s.src)
                 phi = Fraction(cut * s.g - s.base, s.lam.denominator * self.denom) + len(s.lo)
-                if self.const_mass:
-                    phi -= s.lam * self.const_mass
                 self._check(s.lam, phi, k)
                 arcs = len(s.src) + s.n_mid + s.n_free
                 results[i] = CutResult(s.lam, phi + s.lam * self.total, phi, k, route, arcs)

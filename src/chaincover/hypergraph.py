@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -60,7 +61,7 @@ class Hyperedge:
             raise InputError(f"negative hyperedge weight {self.weight}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightedHypergraph:
     """n vertices plus a list of weighted hyperedges (duplicates allowed)."""
 
@@ -80,12 +81,19 @@ class WeightedHypergraph:
             for v in e.vertices:
                 if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < self.n):
                     raise InputError(f"vertex id {v!r} outside [0, {self.n})")
-            if e.weight < 0:
-                raise InputError(f"negative weight {e.weight}")
+
+    @cached_property
+    def masses(self) -> tuple[int, tuple[int, ...]]:
+        """(D, a): D is the lcm of the weights' denominators, a[i] = D * edges[i].weight.
+
+        Computed on first use; the dataclass is frozen, so it stays valid.
+        """
+        d = math.lcm(*(e.weight.denominator for e in self.edges))
+        return d, tuple(e.weight.numerator * (d // e.weight.denominator) for e in self.edges)
 
     @property
     def total_weight(self) -> Fraction:
-        return sum((e.weight for e in self.edges), Fraction(0))
+        return Fraction(sum(self.masses[1]), self.masses[0])
 
     @property
     def support(self) -> frozenset[int]:
@@ -99,15 +107,8 @@ class WeightedHypergraph:
     def induced_weight(self, s: frozenset[int] | set[int]) -> Fraction:
         """Total mass of hyperedges entirely contained in s."""
         s = frozenset(s)
-        # numerators summed per denominator, then one Fraction over the lcm of
-        # the distinct denominators: no Fraction addition, one lcm per call
-        by_den: dict[int, int] = {}
-        for e in self.edges:
-            if e.vertices <= s:
-                num, den = e.weight.as_integer_ratio()
-                by_den[den] = by_den.get(den, 0) + num
-        d = math.lcm(*by_den)
-        return Fraction(sum(num * (d // den) for den, num in by_den.items()), d)
+        d, a = self.masses
+        return Fraction(sum(x for e, x in zip(self.edges, a) if e.vertices <= s), d)
 
     def residual_weight(self, s: frozenset[int] | set[int]) -> Fraction:
         """Mass not captured by s: total minus induced."""

@@ -1,10 +1,11 @@
 """File formats: instances, chains, result tables.
 
-Exact rationals are serialized as strings ("3/4", "2"); floats never enter the
-JSON formats.  JSON output is canonical (sorted keys, two-space indent,
-trailing newline) so identical inputs produce byte-identical files.  The CSV
-result schema is method,phi,size,coverage,seed with rows ordered by
-(method, phi, seed) and decimals printed to 12 significant digits.
+Exact rationals are serialized as strings of any length ("3/4", "2"); floats
+never enter the JSON formats.  JSON output is canonical (sorted keys,
+two-space indent, trailing newline) so identical inputs produce
+byte-identical files.  The CSV result schema is method,phi,size,coverage,seed
+with rows ordered by (method, phi, seed) and decimals printed to 12
+significant digits.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -23,16 +26,20 @@ from .hypergraph import InputError, WeightedHypergraph
 __all__ = [
     "ResultRow",
     "canonical_json",
+    "rational_to_text",
+    "rational_from_text",
     "load_instance",
     "save_instance",
     "load_pairs",
     "load_chain",
+    "load_chain_or_instance",
     "save_chain",
     "result_csv",
     "write_result_csv",
 ]
 
 CSV_HEADER = ("method", "phi", "size", "coverage", "seed")
+_RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
 @dataclass(frozen=True)
@@ -48,13 +55,31 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def rational_to_text(x: Fraction) -> str:
+    """``str(x)`` at any size: the digits pass through Decimal, which Python's
+    limit on int/str conversions (4,300 digits by default) does not cover."""
+    num, den = Decimal(x.numerator), Decimal(x.denominator)
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def rational_from_text(text: str) -> Fraction:
+    """``Fraction(text)``, at any size for the forms ``rational_to_text`` writes."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        return Fraction(text)  # decimals, exponents and underscores
+    num, den = m.groups()
+    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+
+
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _frac(value: object, where: str) -> Fraction:
     try:
-        if isinstance(value, str) or _is_int(value):
+        if isinstance(value, str):
+            return rational_from_text(value)
+        if _is_int(value):
             return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{where}: bad rational {value!r}: {exc}") from None
@@ -69,29 +94,26 @@ def _vertex_list(value: object, where: str) -> list[int]:
 
 def _objects(doc: dict, key: str, where: str) -> list[dict]:
     """doc[key], which must be a list of JSON objects."""
-    items = doc[key]
+    items = doc.get(key)
     if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
         raise InputError(f"{where}: '{key}' must be a list of objects")
     return items
 
 
-def _read_doc(path: str | Path, kind: str, keys: Sequence[str]) -> dict:
-    """The JSON object in ``path``, which must hold every key in ``keys``."""
+def _read_doc(path: str | Path, kind: str) -> dict:
+    """The JSON object in ``path``; a missing key fails the check of its field."""
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also bad UTF-8 and over-long int literals
         raise InputError(f"cannot read {kind} {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError(f"{kind} {path}: expected a JSON object")
-    for key in keys:
-        if key not in doc:
-            raise InputError(f"{kind} {path}: missing '{key}'")
     return doc
 
 
 def _hypergraph(doc: dict, where: str, weight) -> WeightedHypergraph:
     """Hypergraph from the "n" and "edges" fields; ``weight(edge, where)`` reads one mass."""
-    n = doc["n"]
+    n = doc.get("n")
     if not _is_int(n) or n < 0:
         raise InputError(f"{where}: 'n' must be a non-negative int")
     edges = []
@@ -107,9 +129,17 @@ def _hypergraph(doc: dict, where: str, weight) -> WeightedHypergraph:
 
 
 def load_instance(path: str | Path) -> tuple[WeightedHypergraph, list[str] | None]:
-    doc = _read_doc(path, "instance", ("n", "edges"))
-    where = f"instance {path}"
+    return _instance(_read_doc(path, "instance"), f"instance {path}")
 
+
+def load_chain_or_instance(path: str | Path) -> NestedChain | WeightedHypergraph:
+    """The chain saved in ``path`` if its document has "sets", else its instance's hypergraph."""
+    if "sets" in (doc := _read_doc(path, "chain or instance")):
+        return _chain(doc, f"chain {path}")
+    return _instance(doc, f"instance {path}")[0]
+
+
+def _instance(doc: dict, where: str) -> tuple[WeightedHypergraph, list[str] | None]:
     def weight(e: dict, at: str) -> Fraction:
         if "w" not in e:
             raise InputError(f"{at} needs 'w'")
@@ -125,7 +155,7 @@ def load_instance(path: str | Path) -> tuple[WeightedHypergraph, list[str] | Non
 def save_instance(path: str | Path, h: WeightedHypergraph, labels: Sequence[str] | None = None) -> None:
     doc: dict = {
         "n": h.n,
-        "edges": [{"v": sorted(e.vertices), "w": str(e.weight)} for e in h.edges],
+        "edges": [{"v": sorted(e.vertices), "w": rational_to_text(e.weight)} for e in h.edges],
     }
     if labels is not None:
         doc["vertices"] = list(labels)
@@ -133,14 +163,12 @@ def save_instance(path: str | Path, h: WeightedHypergraph, labels: Sequence[str]
 
 
 def save_chain(path: str | Path, chain: NestedChain) -> None:
-    stats = [
-        {"size": len(s), "induced": str(e), "residual": str(chain.total - e)}
-        for s, e in zip(chain.sets, chain.induced)
-    ]
+    text = rational_to_text
     doc = {
         "sets": [sorted(s) for s in chain.sets],
-        "breakpoints": [str(b) for b in chain.breakpoints],
-        "stats": stats,
+        "breakpoints": [text(b) for b in chain.breakpoints],
+        "stats": [{"size": len(s), "induced": text(e), "residual": text(chain.total - e)}
+                  for s, e in zip(chain.sets, chain.induced)],
     }
     Path(path).write_text(canonical_json(doc))
 
@@ -152,7 +180,7 @@ def load_pairs(path: str | Path) -> tuple[WeightedHypergraph, list[tuple[frozens
     edge weights "w" are optional (default 1) and, as in every format,
     rational strings or ints; the "split" count defaults to half the pairs.
     """
-    doc = _read_doc(path, "pairs file", ("n", "edges", "pairs"))
+    doc = _read_doc(path, "pairs file")
     where = f"pairs file {path}"
     universe = _hypergraph(doc, where, lambda e, at: _frac(e.get("w", 1), at))
     pairs = []
@@ -170,9 +198,11 @@ def load_pairs(path: str | Path) -> tuple[WeightedHypergraph, list[tuple[frozens
 
 
 def load_chain(path: str | Path) -> NestedChain:
-    doc = _read_doc(path, "chain", ("sets", "breakpoints", "stats"))
-    where = f"chain {path}"
-    if not isinstance(doc["sets"], list) or not isinstance(doc["breakpoints"], list):
+    return _chain(_read_doc(path, "chain"), f"chain {path}")
+
+
+def _chain(doc: dict, where: str) -> NestedChain:
+    if not isinstance(doc.get("sets"), list) or not isinstance(doc.get("breakpoints"), list):
         raise InputError(f"{where}: 'sets' and 'breakpoints' must be lists")
     stats = _objects(doc, "stats", where)
     if not stats or not all("induced" in st for st in stats) or "residual" not in stats[-1]:

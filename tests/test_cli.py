@@ -19,6 +19,8 @@ from chaincover.hypergraph import WeightedHypergraph
 from chaincover.io import (
     canonical_json,
     load_chain,
+    load_instance,
+    rational_from_text,
     result_csv,
     save_chain,
     save_instance,
@@ -89,6 +91,40 @@ def test_compress_command_extremes(runner, instance_file):
     assert json.loads(low.output)["vertices"] == []
     high = runner.invoke(cli, ["compress", instance_file, "--tau", "1"])
     assert json.loads(high.output)["vertices"] == [0, 1, 2, 3, 4, 5, 6]
+
+
+def _primes(k: int) -> list[int]:
+    out, c = [], 2
+    while len(out) < k:
+        if all(c % p for p in out if p * p <= c):
+            out.append(c)
+        c += 1
+    return out
+
+
+def test_rationals_past_the_int_str_digit_limit(runner, tmp_path):
+    # W = sum of 1/p over the first 1,400 primes: its denominator has more
+    # digits than one int/str conversion takes by default (4,300)
+    limit = sys.get_int_max_str_digits()
+    h = WeightedHypergraph.build(2, [({0, 1}, Fraction(1, p)) for p in _primes(1400)])
+    inst, out = tmp_path / "inst.json", tmp_path / "chain.json"
+    save_instance(inst, h)
+    assert load_instance(inst)[0] == h
+    result = runner.invoke(cli, ["chain", str(inst), str(out)])
+    assert result.exit_code == 0, result.output
+    chain = load_chain(out)
+    assert chain == nested_chain(h)
+    assert chain.total.denominator > 10**4300
+    save_chain(tmp_path / "again.json", chain)
+    assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
+    for tau in ("1/2", "1"):
+        result = runner.invoke(cli, ["compress", str(out), "--tau", tau])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        sel = select(chain, Fraction(tau), Fraction(1))
+        assert rational_from_text(report["residual_bound"]) == sel.bound
+        assert rational_from_text(report["residual"]) == sel.residual
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_fixed_command(runner, tmp_path):
@@ -271,6 +307,22 @@ MALFORMED = {
 }
 
 
+@pytest.mark.parametrize(
+    "content", ["", "{not json", "[1, 2]", '"chain"', b"\xff\xfe{}", '{"n": 1' + "0" * 5000 + "}"],
+    ids=["empty", "bad-json", "list", "string", "bad-utf8", "int-past-digit-limit"],
+)
+def test_compress_unreadable_source_is_an_input_error(tmp_path, monkeypatch, capsys, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    monkeypatch.chdir(tmp_path)
+    for name in ("doc.json", "missing.json"):
+        monkeypatch.setattr(sys, "argv", ["chaincover", "compress", name, "--tau", "1/2"])
+        with pytest.raises(SystemExit) as stop:
+            main()
+        assert stop.value.code == 1
+        assert capsys.readouterr().err.startswith("input error:")
+
+
 @pytest.mark.parametrize("args, doc", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_malformed_file_is_an_input_error(tmp_path, monkeypatch, capsys, args, doc):
     (tmp_path / "doc.json").write_text(json.dumps(doc))
@@ -281,3 +333,15 @@ def test_malformed_file_is_an_input_error(tmp_path, monkeypatch, capsys, args, d
     assert stop.value.code == 1
     assert capsys.readouterr().err.startswith("input error:")
 
+
+def test_import_loads_neither_numpy_nor_scipy():
+    # the package and its file formats import without the solver's numeric stack
+    code = (
+        "import sys, chaincover, chaincover.io\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,17 @@ def test_duplicate_edges_accumulate():
     assert len(h.edges) == 2
     assert h.total_weight == Fraction(2, 3)
     assert h.induced_weight({0}) == Fraction(2, 3)
+
+
+def test_masses_share_one_denominator_computed_once():
+    h = WeightedHypergraph.build(3, [({0}, "1/6"), ({1, 2}, "3/4"), (frozenset(), "2/3"), ({2}, 0)])
+    assert h.masses == (12, (2, 9, 8, 0))
+    assert h.masses is h.masses
+    assert h.total_weight == Fraction(19, 12)
+    assert h.induced_weight({0, 2}) == Fraction(10, 12)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.edges = []
+    assert WeightedHypergraph.build(2, []).masses == (1, ())
 
 
 def test_zero_weight_edge_outside_support():

@@ -1,6 +1,7 @@
 """Serialization round trips and canonical output bytes."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from chaincover.io import (
     canonical_json,
     load_chain,
     load_instance,
+    rational_from_text,
+    rational_to_text,
     result_csv,
     save_chain,
     save_instance,
@@ -134,6 +137,25 @@ def test_chain_load_rejects_tampering(tmp_path, three_path_instance):
     corrupt(lambda d: d["stats"][-1].pop("residual"))
     corrupt(lambda d: d["sets"].__setitem__(1, 5))
     corrupt(lambda d: d.__setitem__("breakpoints", 3))
+
+
+def test_rational_text_is_str_under_the_digit_limit_and_exact_past_it():
+    limit = sys.get_int_max_str_digits()
+    for x in (Fraction(0), Fraction(-3, 4), Fraction(7), Fraction(10**599 + 1, 3),
+              Fraction(-(2**1990), 7), Fraction(10**4299, 3)):
+        assert rational_to_text(x) == str(x)
+        assert rational_from_text(str(x)) == x
+    zeros = "0" * 4999
+    assert rational_to_text(Fraction(-(10**5000) - 1)) == f"-1{zeros}1"
+    assert rational_to_text(Fraction(1, 10**5000)) == f"1/10{zeros}"
+    assert rational_from_text(f" +1{zeros}1/10{zeros} ") == Fraction(10**5000 + 1, 10**5000)
+    x = Fraction(7**9000, 3**8000 + 1)
+    assert len(rational_to_text(x)) > 4300
+    assert rational_from_text(rational_to_text(x)) == x
+    # Fraction's other forms still read as before
+    assert rational_from_text("0.25") == Fraction(1, 4)
+    assert rational_from_text("1_000") == 1000
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_result_csv_frozen():

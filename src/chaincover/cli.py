@@ -15,7 +15,7 @@ import click
 from . import experiments as xp
 from .chain import NestedChain, nested_chain
 from .compress import select
-from .conformal import LabeledPair, calibrate, fixed_context_fit
+from .conformal import LabeledPair, calibrate, fixed_context_fit, quantile_index
 from .hypergraph import InputError, InvariantError, as_fraction
 from .io import canonical_json, load_chain_or_instance, load_instance, load_pairs, save_chain
 from .io import rational_to_text as text, write_result_csv
@@ -23,26 +23,34 @@ from .io import rational_to_text as text, write_result_csv
 _ENV_SEED = "CHAINCOVER_SEED"
 
 
+def _seed(text: str) -> int:
+    """A seed: a non-negative integer, as the random streams take."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    return seed
+
+
 def _default_seed() -> int:
     raw = os.environ.get(_ENV_SEED, "0")
     try:
-        return int(raw)
+        return _seed(raw)
     except ValueError:
-        raise InputError(f"{_ENV_SEED} must be an integer, got {raw!r}") from None
+        raise InputError(f"{_ENV_SEED} must be a non-negative integer, got {raw!r}") from None
 
 
 def _fractions_csv(text: str) -> list[Fraction]:
     try:
         return [as_fraction(part.strip()) for part in text.split(",") if part.strip()]
-    except (ValueError, InputError) as exc:
+    except InputError as exc:
         raise InputError(f"bad rational list {text!r}: {exc}") from None
 
 
-def _ints_csv(text: str) -> list[int]:
+def _seeds_csv(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [_seed(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise InputError(f"bad integer list {text!r}: {exc}") from None
+        raise InputError(f"bad seed list {text!r}: {exc}") from None
 
 
 @click.group()
@@ -70,7 +78,7 @@ def cmd_compress(source: str, tau: str, kappa: str) -> None:
     chain = load_chain_or_instance(source)
     if not isinstance(chain, NestedChain):
         chain = nested_chain(chain)
-    sel = select(chain, as_fraction(tau), as_fraction(kappa))
+    sel = select(chain, tau, kappa)
     report = {
         "vertices": sorted(sel.vertex_set),
         "size": len(sel.vertex_set),
@@ -94,14 +102,8 @@ def cmd_calibrate(pairs: str, phi: str, delta: str | None, kappa: str) -> None:
     """
     universe, raw_pairs, split = load_pairs(pairs)
     items = [LabeledPair(a, b, universe) for a, b in raw_pairs]
-    state = calibrate(
-        items[:split],
-        items[split:],
-        as_fraction(phi),
-        None if delta is None else as_fraction(delta),
-        as_fraction(kappa),
-    )
-    overflow = state.tau_star == 1 and all(e.value < 1 for e in state.etas)
+    state = calibrate(items[:split], items[split:], phi, delta, kappa)
+    overflow = quantile_index(state.phi, len(state.etas)) > len(state.etas)
     report = {
         "d_star": "inf" if state.d_star == float("inf") else state.d_star,
         "tau_star": text(state.tau_star),
@@ -122,7 +124,7 @@ def cmd_fixed(samples: str, phi: str) -> None:
     """Fixed-context fit: SAMPLES is an instance file whose edges are the draws."""
     h, _ = load_instance(samples)
     draws = [e.vertices for e in h.edges]
-    fit = fixed_context_fit(draws, as_fraction(phi), h.n)
+    fit = fixed_context_fit(draws, phi, h.n)
     report = {
         "vertices": sorted(fit.vertex_set),
         "size": len(fit.vertex_set),
@@ -145,7 +147,7 @@ def cmd_fixed(samples: str, phi: str) -> None:
 def cmd_experiment(kind: str, out: str, seeds: str | None, phi_grid: str | None,
                    alpha: float, path_len: int, parallel: int, eps: str, kappa: str) -> None:
     """Run a generator + methods sweep and write the result CSV to OUT."""
-    seed_list = _ints_csv(seeds) if seeds else [_default_seed()]
+    seed_list = _seeds_csv(seeds) if seeds else [_default_seed()]
     phis = _fractions_csv(phi_grid) if phi_grid else list(xp.default_phi_grid())
     if kind == "adversarial":
         rows = xp.adversarial_rows(path_len, parallel, eps, kappa, seed_list)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chain import NestedChain
-from .hypergraph import InputError, InvariantError, as_fraction
+from .hypergraph import InputError, InvariantError, as_fraction, rational_to_text as text
 
 __all__ = [
     "FractionalSolution",
@@ -35,14 +35,14 @@ __all__ = [
 def _check_tau(tau) -> Fraction:
     tau = as_fraction(tau)
     if not 0 <= tau <= 1:
-        raise InputError(f"coverage target must lie in [0, 1], got {tau}")
+        raise InputError(f"coverage target must lie in [0, 1], got {text(tau)}")
     return tau
 
 
 def _check_kappa(kappa) -> Fraction:
     kappa = as_fraction(kappa)
     if kappa <= 0:
-        raise InputError(f"slack parameter must be positive, got {kappa}")
+        raise InputError(f"slack parameter must be positive, got {text(kappa)}")
     return kappa
 
 

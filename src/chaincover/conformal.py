@@ -1,11 +1,14 @@
 """Split calibration of distance and coverage thresholds.
 
 Stage 1 calibrates a distance cutoff d* so the truth lands inside the
-candidate family with probability 1-delta.  Stage 2 scores each remaining
-calibration pair by the smallest coverage target tau whose chain selection
-contains the truth (1 when even the candidate family misses it), and takes a
-conformal quantile tau* of those scores.  Prediction then runs the chain
-selector at tau*.
+candidate family with probability 1-delta.  A pair's candidate family is its
+universe's own weighted hyperedges within distance d* of its prediction.
+Stage 2 scores each remaining calibration pair by the smallest coverage
+target tau (a fraction of the family's mass) whose chain selection contains
+the truth (1 when the truth lies farther than d* from the prediction), and
+takes a conformal quantile tau* of those scores; when the quantile index
+exceeds the number of scores, tau* is 1 by overflow.  Prediction then runs
+the chain selector at tau*.
 
 Also provides the fixed-context fitter: split the samples in half, build the
 chain on the first half, and return the shortest prefix of a fixed vertex
@@ -18,11 +21,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .chain import NestedChain, nested_chain
 from .compress import _check_kappa, select, tau_threshold
 from .hypergraph import InputError, WeightedHypergraph, as_fraction, prefix_cover_counts
+from .hypergraph import rational_to_text as text
 
 __all__ = [
     "LabeledPair",
@@ -80,7 +84,7 @@ def calibrate_stage1(pairs: Sequence[LabeledPair], delta) -> float:
         raise InputError("stage-1 calibration needs at least one pair")
     delta = as_fraction(delta)
     if not 0 < delta < 1:
-        raise InputError(f"delta must lie in (0, 1), got {delta}")
+        raise InputError(f"delta must lie in (0, 1), got {text(delta)}")
     scores = sorted(distance_edge_symdiff(p.prediction, p.truth) for p in pairs)
     idx = quantile_index(1 - delta, len(scores))
     if idx > len(scores):
@@ -88,40 +92,28 @@ def calibrate_stage1(pairs: Sequence[LabeledPair], delta) -> float:
     return scores[idx - 1]
 
 
-def _enumerated_candidates(pair: LabeledPair, d_star: float) -> WeightedHypergraph:
-    """Uniform-weight family of universe hyperedges within d* of the prediction."""
-    members = [
-        (e.vertices, 1)
-        for e in pair.universe.edges
-        if distance_edge_symdiff(pair.prediction, e.vertices) <= d_star
-    ]
-    return WeightedHypergraph.build(pair.universe.n, members)
-
-
 def calibrate_stage2(
-    pairs: Sequence[LabeledPair],
-    d_star: float,
-    phi,
-    kappa,
-    edge_source: Callable[[LabeledPair, float], WeightedHypergraph] = _enumerated_candidates,
+    pairs: Sequence[LabeledPair], d_star: float, phi, kappa
 ) -> tuple[Fraction, tuple[EtaScore, ...]]:
     """Coverage threshold tau* plus the per-pair scores that produced it.
 
-    ``edge_source`` maps a pair to the weighted family of candidates within
-    distance d* of its prediction; the default enumerates the pair's universe.
+    A pair's candidate family is its universe's own weighted hyperedges
+    within distance d* of its prediction.
     """
     phi = as_fraction(phi)
     if not 0 <= phi <= 1:
-        raise InputError(f"phi must lie in [0, 1], got {phi}")
+        raise InputError(f"phi must lie in [0, 1], got {text(phi)}")
     kappa = _check_kappa(kappa)  # also when every pair is censored
     etas: list[EtaScore] = []
     for pair in pairs:
         if distance_edge_symdiff(pair.prediction, pair.truth) > d_star:
             etas.append(EtaScore(Fraction(1), True))
             continue
-        family = edge_source(pair, d_star)
-        chain = nested_chain(family)
-        etas.append(EtaScore(tau_threshold(chain, pair.truth, kappa), False))
+        u = pair.universe
+        family = WeightedHypergraph(u.n, tuple(
+            e for e in u.edges if distance_edge_symdiff(pair.prediction, e.vertices) <= d_star
+        ))
+        etas.append(EtaScore(tau_threshold(nested_chain(family), pair.truth, kappa), False))
     if not etas:
         return Fraction(1), ()
     ordered = sorted(e.value for e in etas)
@@ -136,14 +128,13 @@ def calibrate(
     phi,
     delta=None,
     kappa=1,
-    edge_source=_enumerated_candidates,
 ) -> CalibrationState:
     """Run both stages.  delta defaults to 0.05 * phi."""
     phi = as_fraction(phi)
     delta = phi * Fraction(1, 20) if delta is None else as_fraction(delta)
     kappa = as_fraction(kappa)
     d_star = calibrate_stage1(d1, delta)
-    tau_star, etas = calibrate_stage2(d2, d_star, phi, kappa, edge_source)
+    tau_star, etas = calibrate_stage2(d2, d_star, phi, kappa)
     return CalibrationState(d_star, tau_star, phi, delta, kappa, etas)
 
 
@@ -193,7 +184,7 @@ def fixed_context_fit(
     """
     phi = as_fraction(phi)
     if not 0 <= phi <= 1:
-        raise InputError(f"phi must lie in [0, 1], got {phi}")
+        raise InputError(f"phi must lie in [0, 1], got {text(phi)}")
     t = len(samples)
     if t < 2:
         raise InputError(f"need at least two samples, got {t}")

@@ -24,6 +24,7 @@ from .hypergraph import (
     WeightedHypergraph,
     as_fraction,
     prefix_cover_counts,
+    rational_to_text as text,
 )
 from .io import ResultRow
 from .rng import stream
@@ -220,7 +221,7 @@ def gen_adversarial(a: int, b: int, eps) -> WeightedHypergraph:
         raise InputError(f"need a > b >= 1, got a={a}, b={b}")
     eps = as_fraction(eps)
     if not 0 < eps < 1:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
+        raise InputError(f"eps must lie in (0, 1), got {text(eps)}")
     edges: list[tuple[list[int], Fraction]] = [(list(range(a)), eps)]
     for i in range(b):
         edges.append(([a + i], (1 - eps) / b))
@@ -253,7 +254,7 @@ def chain_cover(
     for raw in phi_grid:
         phi = as_fraction(raw)
         if not 0 <= phi <= 1:
-            raise InputError(f"phi must lie in [0, 1], got {phi}")
+            raise InputError(f"phi must lie in [0, 1], got {text(phi)}")
         shortest = bisect_left(counts, math.ceil(phi * len(test)))
         k = next((k for k in ch.sets if len(k) >= shortest), None)
         if k is None:
@@ -329,17 +330,22 @@ def adversarial_rows(a: int, b: int, eps, kappa, seeds: Sequence[int]) -> list[R
     chain = nested_chain(h)
     sel = select(chain, tau, kappa)
     samples = [e.vertices for e in h.edges]
-    # evaluation repeats edge i a[i] times, its integer mass over the common
-    # denominator, so that covered fraction == covered mass fraction
-    weighted_eval = [s for s, k in zip(samples, h.masses[1]) for _ in range(k)]
-    rev = reverse_greedy(samples, weighted_eval, [tau], h.n)[0][tau]
+    # reverse greedy peels by edge count; its coverage is measured by mass:
+    # it keeps the deepest peel state whose survivors hold tau of the mass
+    need = tau * h.total_weight
+    rev = frozenset(range(h.n))
+    for v in reverse_greedy(samples, samples, [], h.n)[1].order:
+        if h.induced_weight(rev - {v}) < need:
+            break
+        rev -= {v}
     cov_chain = 1 - sel.residual / h.total_weight
+    cov_rev = h.induced_weight(rev) / h.total_weight
     rows = []
     for seed in seeds:
         rows.append(ResultRow("chain", tau, len(sel.vertex_set), cov_chain, seed))
-        rows.append(ResultRow("reverse_greedy", tau, len(rev.vertex_set), rev.coverage, seed))
+        rows.append(ResultRow("reverse_greedy", tau, len(rev), cov_rev, seed))
     if len(sel.vertex_set) != b:
         raise InvariantError(f"chain selector kept {len(sel.vertex_set)} vertices, wanted {b}")
-    if len(rev.vertex_set) < a:
-        raise InvariantError(f"reverse greedy kept {len(rev.vertex_set)} < {a} vertices")
+    if len(rev) < a:
+        raise InvariantError(f"reverse greedy kept {len(rev)} < {a} vertices")
     return rows

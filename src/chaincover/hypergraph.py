@@ -7,7 +7,9 @@ rational mass; duplicate vertex sets are legal and are never merged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -31,8 +33,27 @@ class InvariantError(AssertionError):
     """A structural invariant that must hold by construction was violated."""
 
 
+_RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+
+
+def rational_to_text(x: Fraction) -> str:
+    """``str(x)`` at any size: the digits pass through Decimal, which Python's
+    limit on int/str conversions (4,300 digits by default) does not cover."""
+    num, den = Decimal(x.numerator), Decimal(x.denominator)
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def rational_from_text(text: str) -> Fraction:
+    """``Fraction(text)``, at any size for the forms ``rational_to_text`` writes."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        return Fraction(text)  # decimals, exponents and underscores
+    num, den = m.groups()
+    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+
+
 def as_fraction(value) -> Fraction:
-    """Exact rational from int/Fraction/str/float.
+    """Exact rational from int/Fraction/str/float; strings of any length.
 
     Floats go through their shortest decimal repr so that 0.3 means 3/10,
     not the binary double closest to it.
@@ -45,7 +66,7 @@ def as_fraction(value) -> Fraction:
         if isinstance(value, float):
             return Fraction(str(value))
         if isinstance(value, str):
-            return Fraction(value)
+            return rational_from_text(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot interpret {value!r} as an exact rational: {exc}") from None
     raise InputError(f"cannot interpret {value!r} as an exact rational")
@@ -58,19 +79,19 @@ class Hyperedge:
 
     def __post_init__(self):
         if self.weight < 0:
-            raise InputError(f"negative hyperedge weight {self.weight}")
+            raise InputError(f"negative hyperedge weight {rational_to_text(self.weight)}")
 
 
 @dataclass(frozen=True)
 class WeightedHypergraph:
-    """n vertices plus a list of weighted hyperedges (duplicates allowed)."""
+    """n vertices plus a tuple of weighted hyperedges (duplicates allowed)."""
 
     n: int
-    edges: list[Hyperedge] = field(default_factory=list)
+    edges: tuple[Hyperedge, ...] = ()
 
     @classmethod
     def build(cls, n: int, edges: Iterable[tuple[Sequence[int], object]]) -> "WeightedHypergraph":
-        out = cls(n=n, edges=[Hyperedge(frozenset(v), as_fraction(w)) for v, w in edges])
+        out = cls(n=n, edges=tuple(Hyperedge(frozenset(v), as_fraction(w)) for v, w in edges))
         out.validate()
         return out
 
@@ -86,7 +107,8 @@ class WeightedHypergraph:
     def masses(self) -> tuple[int, tuple[int, ...]]:
         """(D, a): D is the lcm of the weights' denominators, a[i] = D * edges[i].weight.
 
-        Computed on first use; the dataclass is frozen, so it stays valid.
+        Computed on first use; the dataclass is frozen and its edges a
+        tuple, so it stays valid.
         """
         d = math.lcm(*(e.weight.denominator for e in self.edges))
         return d, tuple(e.weight.numerator * (d // e.weight.denominator) for e in self.edges)

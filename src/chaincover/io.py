@@ -13,15 +13,19 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-import re
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
 from .chain import NestedChain
-from .hypergraph import InputError, WeightedHypergraph
+from .hypergraph import (
+    InputError,
+    WeightedHypergraph,
+    as_fraction,
+    rational_from_text,
+    rational_to_text,
+)
 
 __all__ = [
     "ResultRow",
@@ -39,7 +43,6 @@ __all__ = [
 ]
 
 CSV_HEADER = ("method", "phi", "size", "coverage", "seed")
-_RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
 @dataclass(frozen=True)
@@ -55,35 +58,18 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def rational_to_text(x: Fraction) -> str:
-    """``str(x)`` at any size: the digits pass through Decimal, which Python's
-    limit on int/str conversions (4,300 digits by default) does not cover."""
-    num, den = Decimal(x.numerator), Decimal(x.denominator)
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
-def rational_from_text(text: str) -> Fraction:
-    """``Fraction(text)``, at any size for the forms ``rational_to_text`` writes."""
-    m = _RATIONAL.fullmatch(text)
-    if m is None:
-        return Fraction(text)  # decimals, exponents and underscores
-    num, den = m.groups()
-    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
-
-
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _frac(value: object, where: str) -> Fraction:
+    """``as_fraction`` for the two JSON forms of a rational: strings and ints."""
+    if not (isinstance(value, str) or _is_int(value)):
+        raise InputError(f"{where}: rationals must be strings or ints, got {value!r}")
     try:
-        if isinstance(value, str):
-            return rational_from_text(value)
-        if _is_int(value):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{where}: bad rational {value!r}: {exc}") from None
-    raise InputError(f"{where}: rationals must be strings or ints, got {value!r}")
+        return as_fraction(value)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 def _vertex_list(value: object, where: str) -> list[int]:

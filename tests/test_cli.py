@@ -15,12 +15,13 @@ from chaincover.cli import cli, main
 from chaincover.compress import select
 from chaincover.conformal import LabeledPair, calibrate, fixed_context_fit
 from chaincover.experiments import adversarial_rows
-from chaincover.hypergraph import WeightedHypergraph
+from chaincover.hypergraph import InputError, WeightedHypergraph
 from chaincover.io import (
     canonical_json,
     load_chain,
     load_instance,
     rational_from_text,
+    rational_to_text,
     result_csv,
     save_chain,
     save_instance,
@@ -127,6 +128,23 @@ def test_rationals_past_the_int_str_digit_limit(runner, tmp_path):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_compress_tau_past_the_int_str_digit_limit(runner, instance_file, three_path_instance):
+    limit = sys.get_int_max_str_digits()
+    chain = nested_chain(three_path_instance)
+    for tau in (Fraction(1, 10**4400), Fraction(10**4400 - 1, 10**4400)):
+        result = runner.invoke(cli, ["compress", instance_file, "--tau", rational_to_text(tau)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        sel = select(chain, tau, 1)
+        assert report["vertices"] == sorted(sel.vertex_set)
+        assert rational_from_text(report["residual_bound"]) == sel.bound
+    # out of range: the message prints the target without tripping the limit
+    too_big = rational_to_text(Fraction(10**4400 + 1, 10**4400))
+    result = runner.invoke(cli, ["compress", instance_file, "--tau", too_big])
+    assert isinstance(result.exception, InputError) and "coverage target" in str(result.exception)
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_fixed_command(runner, tmp_path):
     doc = {
         "n": 3,
@@ -178,6 +196,50 @@ def test_calibrate_command(runner, tmp_path):
     # the distance is always the symmetric difference: no option selects it
     dropped = runner.invoke(cli, ["calibrate", str(path), "--phi", "1/2", "--distance", "symdiff"])
     assert dropped.exit_code == 2 and "--distance" in dropped.output
+
+
+def _calibrate_report(runner, tmp_path, doc, *options):
+    path = tmp_path / "pairs.json"
+    path.write_text(canonical_json(doc))
+    result = runner.invoke(cli, ["calibrate", str(path), *options])
+    assert result.exit_code == 0, result.output
+    return json.loads(result.output)
+
+
+def test_calibrate_command_reads_the_universe_weights(runner, tmp_path):
+    # {4,5,6} carries 98/100 of the mass, so the light truths score 99/100
+    # (a unit-weight universe would give 1/2, 1/2, 5/6, 1/2, 1/2)
+    truths = [[0, 1], [2, 3], [4, 5, 6], [0, 1], [2, 3], [4, 5, 6], [0, 1], [2, 3]]
+    doc = {
+        "n": 7,
+        "edges": [{"v": [0, 1], "w": "1/100"}, {"v": [2, 3], "w": "1/100"},
+                  {"v": [4, 5, 6], "w": "98/100"}],
+        "pairs": [{"a": t, "b": t} for t in truths],
+        "split": 3,
+    }
+    report = _calibrate_report(runner, tmp_path, doc, "--phi", "1/2", "--delta", "1/100")
+    assert report["d_star"] == "inf"
+    assert report["etas"] == ["99/100", "99/100", "1/2", "99/100", "99/100"]
+    assert report["tau_star"] == "99/100"
+    assert report["quantile_overflow"] is False
+
+
+def test_calibrate_command_reports_quantile_overflow(runner, tmp_path):
+    # d* = 0; the two stage-2 scores are 1/2 and 1 (censored)
+    doc = {
+        "n": 4,
+        "edges": [{"v": [0, 1]}, {"v": [2, 3]}],
+        "pairs": [{"a": [0, 1], "b": [0, 1]}] * 3 + [{"a": [0, 1], "b": [2, 3]}],
+        "split": 2,
+    }
+    # ceil(9/10 * 3) = 3 > 2 scores: tau* = 1 by overflow
+    report = _calibrate_report(runner, tmp_path, doc, "--phi", "9/10", "--delta", "1/2")
+    assert report["d_star"] == 0
+    assert report["etas"] == ["1/2", "1"] and report["censored"] == [False, True]
+    assert (report["tau_star"], report["quantile_overflow"]) == ("1", True)
+    # ceil(1/2 * 3) = 2: tau* = 1 is the censored score, not an overflow
+    report = _calibrate_report(runner, tmp_path, doc, "--phi", "1/2", "--delta", "1/2")
+    assert (report["tau_star"], report["quantile_overflow"]) == ("1", False)
 
 
 def test_calibrate_rejects_short_pairs(runner, tmp_path):
@@ -289,6 +351,21 @@ def test_env_seed_default(tmp_path):
     assert "input error" in proc.stderr
 
 
+@pytest.mark.parametrize("seeds, env", [("--seeds=-1", "0"), ("--seeds=0,-3", "0"), (None, "-2")],
+                         ids=["option", "option-list", "env"])
+def test_negative_seed_is_an_input_error(tmp_path, monkeypatch, capsys, seeds, env):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CHAINCOVER_SEED", env)
+    for kind in ("grid", "trip"):
+        args = ["chaincover", "experiment", kind, "--out", "out.csv", *filter(None, [seeds])]
+        monkeypatch.setattr(sys, "argv", args)
+        with pytest.raises(SystemExit) as stop:
+            main()
+        assert stop.value.code == 1
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not (tmp_path / "out.csv").exists()
+
+
 MALFORMED = {
     "edges-not-a-list": (["chain", "doc.json", "out.json"], {"n": 2, "edges": 7}),
     "vertices-not-a-list": (["chain", "doc.json", "out.json"],
@@ -304,6 +381,8 @@ MALFORMED = {
     "pair-edge-float-weight": (["calibrate", "doc.json", "--phi", "1/2"],
                                {"n": 1, "edges": [{"v": [0], "w": 0.5}],
                                 "pairs": [{"a": [0], "b": [0]}] * 2}),
+    "negative-weight-past-digit-limit": (["chain", "doc.json", "out.json"],
+                                         {"n": 1, "edges": [{"v": [0], "w": "-1" + "0" * 5000}]}),
 }
 
 

@@ -118,6 +118,39 @@ def test_stage2_censors_distant_truths():
             calibrate(d1, d2, "4/5", "1/10", kappa)
 
 
+def _skewed_universe() -> WeightedHypergraph:
+    return WeightedHypergraph.build(
+        7,
+        [({0, 1}, Fraction(1, 100)), ({2, 3}, Fraction(1, 100)), ({4, 5, 6}, Fraction(98, 100))],
+    )
+
+
+SKEWED_D2 = [{0, 1}, {2, 3}, {4, 5, 6}, {0, 1}, {2, 3}]
+
+
+def test_stage2_scores_the_universe_weights():
+    # the family keeps the universe's masses: {4,5,6} carries 98/100 and
+    # enters first, so it scores 1/2; the light pairs need the top set,
+    # which the residual 2/100 of {4,5,6} reaches only at tau = 99/100
+    # (with unit weights the order flips: 1/2, 1/2, 5/6, 1/2, 1/2)
+    universe = _skewed_universe()
+    pairs = [_pair(s, s, universe) for s in SKEWED_D2]
+    tau_star, etas = calibrate_stage2(pairs, math.inf, Fraction(1, 2), 1)
+    hi = Fraction(99, 100)
+    assert [e.value for e in etas] == [hi, hi, Fraction(1, 2), hi, hi]
+    assert not any(e.censored for e in etas)
+    assert tau_star == hi
+
+
+def test_calibrate_takes_no_family_argument():
+    pairs = [_pair({0, 1}, {0, 1})] * 2
+    family = lambda pair, d_star: pair.universe  # noqa: E731
+    with pytest.raises(TypeError):
+        calibrate(pairs, pairs, Fraction(1, 2), edge_source=family)
+    with pytest.raises(TypeError):
+        calibrate_stage2(pairs, math.inf, Fraction(1, 2), 1, family)
+
+
 def test_stage2_empty_is_full_threshold():
     assert calibrate_stage2([], math.inf, Fraction(1, 2), 1) == (Fraction(1), ())
 
@@ -242,7 +275,7 @@ def test_pipeline_marginal_coverage_monte_carlo():
     phi, delta = Fraction(4, 5), Fraction(1, 20)
     d1 = [_random_context(stream(90, t)) for t in range(60)]
     d2 = [_random_context(stream(91, t)) for t in range(60)]
-    state = calibrate(d1, d2, phi, delta=delta, kappa=1, edge_source=_weighted_family)
+    state = calibrate(d1, d2, phi, delta=delta, kappa=1)
     n_test = 2000
     hits = 0
     for t in range(n_test):

@@ -1,5 +1,7 @@
 """Synthetic generators and the method-comparison harness."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,8 @@ from chaincover.baselines import reverse_greedy
 from chaincover.chain import nested_chain
 from chaincover.compress import select
 from chaincover.hypergraph import InputError
+
+from conftest import child_env
 
 
 def test_default_phi_grid():
@@ -227,6 +231,29 @@ def test_adversarial_chain_vs_reverse_greedy():
     kept = results[tau]
     assert len(kept.vertex_set) == a + b
     assert kept.coverage == 1
+
+
+def test_adversarial_rows_do_not_grow_with_the_common_denominator():
+    # D = 1000000007: a sweep that lists edges by their integer masses would
+    # need about 3e9 entries; the child's address space is capped at 1 GiB
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from chaincover.experiments import adversarial_rows\n"
+        "from chaincover.io import result_csv\n"
+        "print(result_csv(adversarial_rows(30, 3, '1/1000000007', 1, [0])), end='')\n"
+    )
+    env = child_env()
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "method,phi,size,coverage,seed",
+        "chain,0.999999999,3,0.999999999,0",
+        "reverse_greedy,0.999999999,33,1,0",
+    ]
 
 
 # ---------------------------------------------------------------- comparison

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,27 @@ def test_masses_share_one_denominator_computed_once():
     with pytest.raises(dataclasses.FrozenInstanceError):
         h.edges = []
     assert WeightedHypergraph.build(2, []).masses == (1, ())
+
+
+def test_edges_are_a_tuple_so_the_cached_masses_stay_valid():
+    h = WeightedHypergraph.build(2, [({0}, 1)])
+    assert h.masses == (1, (1,))
+    assert isinstance(h.edges, tuple)
+    with pytest.raises(AttributeError):
+        h.edges.append(Hyperedge(frozenset({1}), Fraction(1, 3)))
+    assert h.total_weight == 1 and len(h.edges) == 1
+    assert WeightedHypergraph(3).edges == ()
+
+
+def test_as_fraction_reads_strings_past_the_int_str_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    zeros = "0" * 5000
+    assert as_fraction(f"1/1{zeros}") == Fraction(1, 10**5000)
+    assert as_fraction(f" -3{zeros} ") == -3 * 10**5000
+    assert as_fraction("0.25") == Fraction(1, 4)
+    with pytest.raises(InputError):
+        as_fraction(f"1/0{zeros}")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_zero_weight_edge_outside_support():

@@ -6,7 +6,6 @@ from .compress import (
     FractionalSolution,
     Selection,
     fractional_solution,
-    round_fractional,
     select,
     tau_threshold,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "predict",
     "quantile_index",
     "reverse_greedy",
-    "round_fractional",
     "select",
     "tau_threshold",
 ]

@@ -33,7 +33,6 @@ network.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -60,19 +59,8 @@ class NestedChain:
     total: Fraction
 
     @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.sets)
-
-    @property
     def residuals(self) -> tuple[Fraction, ...]:
         return tuple(self.total - e for e in self.induced)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def set_at(self, lam: Fraction) -> frozenset[int]:
-        """Minimal minimizer at lam (at a breakpoint: the set below it)."""
-        return self.sets[bisect.bisect_left(self.breakpoints, lam)]
 
     def validate(self) -> None:
         if len(self.sets) != len(self.breakpoints) + 1 or len(self.sets) != len(self.induced):

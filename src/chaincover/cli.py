@@ -16,9 +16,9 @@ from . import experiments as xp
 from .chain import NestedChain, nested_chain
 from .compress import select
 from .conformal import LabeledPair, calibrate, fixed_context_fit, quantile_index
-from .hypergraph import InputError, InvariantError, as_fraction
+from .hypergraph import InputError, InvariantError, as_fraction, rational_to_text as text
 from .io import canonical_json, load_chain_or_instance, load_instance, load_pairs, save_chain
-from .io import rational_to_text as text, write_result_csv
+from .io import write_result_csv
 
 _ENV_SEED = "CHAINCOVER_SEED"
 

@@ -2,16 +2,10 @@
 
 Given a chain and a mass-coverage target tau, the fractional optimum mixes the
 two chain sets whose induced weights bracket tau * W; its vertex values are 1
-on the lower set and alpha on the gap.  Two integral routes are exposed:
-
-* ``round_fractional``: threshold the fractional values at rho = kappa/(1+kappa),
-  returning the upper bracket set exactly when alpha >= rho;
-* ``select``: the smallest chain set whose residual mass is at most
-  (1+kappa)*(1-tau)*W.
-
-``select`` never sits above ``round_fractional`` in the chain, so both satisfy
-the same size and residual guarantees; they are kept separate and are
-cross-checked in tests rather than merged.
+on the lower set and alpha on the gap.  ``select`` returns the smallest chain
+set whose residual mass is at most (1+kappa)*(1-tau)*W.  It never sits above
+the set that thresholding those values at rho = kappa/(1+kappa) gives, so it
+keeps that rounding's size and residual guarantees.
 """
 
 from __future__ import annotations
@@ -20,23 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chain import NestedChain
-from .hypergraph import InputError, InvariantError, as_fraction, rational_to_text as text
+from .hypergraph import InputError, InvariantError, as_fraction, unit_fraction
+from .hypergraph import rational_to_text as text
 
 __all__ = [
     "FractionalSolution",
     "Selection",
     "fractional_solution",
-    "round_fractional",
     "select",
     "tau_threshold",
 ]
-
-
-def _check_tau(tau) -> Fraction:
-    tau = as_fraction(tau)
-    if not 0 <= tau <= 1:
-        raise InputError(f"coverage target must lie in [0, 1], got {text(tau)}")
-    return tau
 
 
 def _check_kappa(kappa) -> Fraction:
@@ -82,7 +69,7 @@ class Selection:
 
 
 def fractional_solution(chain: NestedChain, tau) -> FractionalSolution:
-    tau = _check_tau(tau)
+    tau = unit_fraction(tau, "coverage target")
     target = tau * chain.total
     induced = chain.induced
     if target > induced[-1]:
@@ -102,29 +89,15 @@ def fractional_solution(chain: NestedChain, tau) -> FractionalSolution:
     return FractionalSolution(j, j + 1, alpha, chain.breakpoints[j], objective, target)
 
 
-def round_fractional(chain: NestedChain, tau, kappa) -> Selection:
-    """Threshold the fractional values at rho = kappa / (1 + kappa)."""
-    kappa = _check_kappa(kappa)
-    frac = fractional_solution(chain, tau)
-    rho = kappa / (1 + kappa)
-    index = frac.upper_index if frac.alpha >= rho else frac.lower_index
-    return _selection(chain, index, _check_tau(tau), kappa)
-
-
 def select(chain: NestedChain, tau, kappa) -> Selection:
     """Smallest chain set with residual mass <= (1+kappa)*(1-tau)*W."""
-    tau = _check_tau(tau)
+    tau = unit_fraction(tau, "coverage target")
     kappa = _check_kappa(kappa)
     bound = (1 + kappa) * (1 - tau) * chain.total
     for index, r in enumerate(chain.residuals):
         if r <= bound:
-            return _selection(chain, index, tau, kappa)
+            return Selection(index, chain.sets[index], r, bound)
     raise InputError(f"no chain set meets residual bound {bound}")  # r_k = 0 <= bound
-
-
-def _selection(chain: NestedChain, index: int, tau: Fraction, kappa: Fraction) -> Selection:
-    bound = (1 + kappa) * (1 - tau) * chain.total
-    return Selection(index, chain.sets[index], chain.residuals[index], bound)
 
 
 def tau_threshold(chain: NestedChain, b: frozenset[int], kappa) -> Fraction:

@@ -25,8 +25,15 @@ from typing import Sequence
 
 from .chain import NestedChain, nested_chain
 from .compress import _check_kappa, select, tau_threshold
-from .hypergraph import InputError, WeightedHypergraph, as_fraction, prefix_cover_counts
-from .hypergraph import rational_to_text as text
+from .hypergraph import (
+    InputError,
+    WeightedHypergraph,
+    as_fraction,
+    check_vertex_ids,
+    prefix_cover_counts,
+    rational_to_text as text,
+    unit_fraction,
+)
 
 __all__ = [
     "LabeledPair",
@@ -100,9 +107,7 @@ def calibrate_stage2(
     A pair's candidate family is its universe's own weighted hyperedges
     within distance d* of its prediction.
     """
-    phi = as_fraction(phi)
-    if not 0 <= phi <= 1:
-        raise InputError(f"phi must lie in [0, 1], got {text(phi)}")
+    phi = unit_fraction(phi, "phi")
     kappa = _check_kappa(kappa)  # also when every pair is censored
     etas: list[EtaScore] = []
     for pair in pairs:
@@ -182,19 +187,14 @@ def fixed_context_fit(
     returned.  Coverage of the prefix family is monotone, so this matches
     top-down deletion that stops when the level would be violated.
     """
-    phi = as_fraction(phi)
-    if not 0 <= phi <= 1:
-        raise InputError(f"phi must lie in [0, 1], got {text(phi)}")
+    phi = unit_fraction(phi, "phi")
     t = len(samples)
     if t < 2:
         raise InputError(f"need at least two samples, got {t}")
     t1 = t // 2
     first = [frozenset(s) for s in samples[:t1]]
     second = [frozenset(s) for s in samples[t1:]]
-    for s in first + second:
-        for v in s:
-            if not 0 <= v < n_vertices:
-                raise InputError(f"sample vertex {v} outside [0, {n_vertices})")
+    check_vertex_ids(n_vertices, samples)
     h1 = WeightedHypergraph.build(n_vertices, [(s, 1) for s in first])
     chain = nested_chain(h1)
     order = _fixed_order(chain, first, n_vertices)

@@ -25,6 +25,7 @@ from .hypergraph import (
     as_fraction,
     prefix_cover_counts,
     rational_to_text as text,
+    unit_fraction,
 )
 from .io import ResultRow
 from .rng import stream
@@ -252,9 +253,7 @@ def chain_cover(
     counts = prefix_cover_counts(order, test)
     out: dict[Fraction, tuple[frozenset[int], Fraction]] = {}
     for raw in phi_grid:
-        phi = as_fraction(raw)
-        if not 0 <= phi <= 1:
-            raise InputError(f"phi must lie in [0, 1], got {text(phi)}")
+        phi = unit_fraction(raw, "phi")
         shortest = bisect_left(counts, math.ceil(phi * len(test)))
         k = next((k for k in ch.sets if len(k) >= shortest), None)
         if k is None:

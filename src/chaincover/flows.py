@@ -71,10 +71,9 @@ _INT32_MAX = 2**31 - 1
 
 @dataclass(frozen=True)
 class CutResult:
-    """Minimum cut at one multiplier."""
+    """Minimum cut at one multiplier; its value is phi + lam * W."""
 
     lam: Fraction
-    cut_value: Fraction          # min_K Phi(K, lam) + lam * W
     phi: Fraction                # Phi(K, lam) of the minimal minimizer
     vertex_set: frozenset[int]   # inclusion-minimal minimizer
     route: str                   # "scipy", "dinic" or "trivial" (no network)
@@ -268,7 +267,7 @@ class LagrangianCutSolver:
             if hi is not None and not lo <= hi:
                 raise ValueError("lower bracket is not inside the upper bracket")
         if not self.edge_members:  # all mass lies in every set: K = {} and a zero cut
-            return [CutResult(lam, Fraction(0), -lam * self.total, frozenset(), "trivial", 0)
+            return [CutResult(lam, -lam * self.total, frozenset(), "trivial", 0)
                     for lam, _, _ in probes]
 
         keep, free, mid, scales = self._blocks(probes)
@@ -309,7 +308,7 @@ class LagrangianCutSolver:
                 phi = Fraction(cut * s.g - s.base, s.lam.denominator * self.denom) + len(s.lo)
                 self._check(s.lam, phi, k)
                 arcs = len(s.src) + s.n_mid + s.n_free
-                results[i] = CutResult(s.lam, phi + s.lam * self.total, phi, k, route, arcs)
+                results[i] = CutResult(s.lam, phi, k, route, arcs)
         return results
 
     def _check(self, lam: Fraction, phi: Fraction, k: frozenset[int]) -> None:
@@ -393,25 +392,33 @@ def _max_flow_dinic(rows, cols, caps, n: int):
                     queue.append(v)
         if level[1] < 0:
             break  # the BFS that missed the sink reached the source side
+        # augment along blocking paths, kept on an explicit stack of arcs:
+        # an arc stays current until it saturates or leads to a dead end
         it = [0] * n
-
-        def dfs(u: int, pushed: int) -> int:
+        path: list[int] = []
+        u = 0
+        while True:
             if u == 1:
-                return pushed
-            while it[u] < len(adj[u]):
-                a = adj[u][it[u]]
-                v = to[a]
-                if cap[a] > 0 and level[v] == level[u] + 1:
-                    got = dfs(v, min(pushed, cap[a]))
-                    if got:
-                        cap[a] -= got
-                        cap[a ^ 1] += got
-                        return got
+                # the whole bottleneck: a fixed cap would split one augmenting path
+                # into capacity/cap pushes, exponential in the capacity's bit length
+                got = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= got
+                    cap[a ^ 1] += got
+                path.clear()
+                u = 0
+            out = adj[u]
+            while it[u] < len(out):
+                a = out[it[u]]
+                if cap[a] > 0 and level[to[a]] == level[u] + 1:
+                    break
                 it[u] += 1
-            return 0
-
-        # unbounded: a fixed cap would split one augmenting path into
-        # capacity/cap pushes, exponential in the capacity's bit length
-        while dfs(0, math.inf):
-            pass
+            else:  # dead end: step back and pass over the arc that led here
+                if not path:
+                    break
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+                continue
+            path.append(a)
+            u = to[a]
     return cap[1 : 2 * rows.count(0) : 2], np.array(queue, dtype=np.intp)

@@ -13,6 +13,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -21,7 +22,11 @@ __all__ = [
     "InputError",
     "InvariantError",
     "as_fraction",
+    "check_vertex_ids",
     "prefix_cover_counts",
+    "rational_from_text",
+    "rational_to_text",
+    "unit_fraction",
 ]
 
 
@@ -33,7 +38,12 @@ class InvariantError(AssertionError):
     """A structural invariant that must hold by construction was violated."""
 
 
-_RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+# Fraction's own string grammar: p/q, or a decimal with an optional exponent
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIONAL = re.compile(
+    rf"\s*(?P<sign>[+-]?)(?=\d|\.\d)(?P<num>(?:{_DIGITS})?)"
+    rf"(?:/(?P<den>{_DIGITS})|(?:\.(?P<dec>(?:{_DIGITS})?))?(?:[eE](?P<exp>[+-]?{_DIGITS}))?)\s*"
+)
 
 
 def rational_to_text(x: Fraction) -> str:
@@ -44,12 +54,25 @@ def rational_to_text(x: Fraction) -> str:
 
 
 def rational_from_text(text: str) -> Fraction:
-    """``Fraction(text)``, at any size for the forms ``rational_to_text`` writes."""
+    """``Fraction(text)`` with digit strings of any length.
+
+    The digits pass through Decimal, as in ``rational_to_text``; an exponent
+    is read as ``Fraction`` reads it.
+    """
     m = _RATIONAL.fullmatch(text)
     if m is None:
-        return Fraction(text)  # decimals, exponents and underscores
-    num, den = m.groups()
-    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    sign, num, den, dec, exp = m.group("sign", "num", "den", "dec", "exp")
+    dec = (dec or "").replace("_", "")
+    numerator = int(Decimal(num + dec))  # Decimal reads the underscores itself
+    denominator = int(Decimal(den)) if den else 10 ** len(dec)
+    if exp:
+        exp = int(exp)
+        if exp >= 0:
+            numerator *= 10**exp
+        else:
+            denominator *= 10**-exp
+    return Fraction(-numerator if sign == "-" else numerator, denominator)
 
 
 def as_fraction(value) -> Fraction:
@@ -70,6 +93,24 @@ def as_fraction(value) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot interpret {value!r} as an exact rational: {exc}") from None
     raise InputError(f"cannot interpret {value!r} as an exact rational")
+
+
+def unit_fraction(value, what: str) -> Fraction:
+    """``as_fraction(value)``, which must lie in [0, 1]; ``what`` names it in the error."""
+    x = as_fraction(value)
+    if not 0 <= x <= 1:
+        raise InputError(f"{what} must lie in [0, 1], got {rational_to_text(x)}")
+    return x
+
+
+def check_vertex_ids(n: int, vertex_sets: Iterable[Iterable[int]]) -> None:
+    """Every vertex of every set is an int (not a bool) in [0, n), and n >= 0."""
+    if n < 0:
+        raise InputError(f"vertex count must be non-negative, got {n}")
+    for vs in vertex_sets:
+        for v in vs:
+            if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
+                raise InputError(f"vertex id {v!r} outside [0, {n})")
 
 
 @dataclass(frozen=True)
@@ -96,12 +137,7 @@ class WeightedHypergraph:
         return out
 
     def validate(self) -> None:
-        if self.n < 0:
-            raise InputError(f"vertex count must be non-negative, got {self.n}")
-        for e in self.edges:
-            for v in e.vertices:
-                if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < self.n):
-                    raise InputError(f"vertex id {v!r} outside [0, {self.n})")
+        check_vertex_ids(self.n, map(attrgetter("vertices"), self.edges))
 
     @cached_property
     def masses(self) -> tuple[int, tuple[int, ...]]:
@@ -117,24 +153,11 @@ class WeightedHypergraph:
     def total_weight(self) -> Fraction:
         return Fraction(sum(self.masses[1]), self.masses[0])
 
-    @property
-    def support(self) -> frozenset[int]:
-        """Vertices lying on at least one positive-weight hyperedge."""
-        out: set[int] = set()
-        for e in self.edges:
-            if e.weight > 0:
-                out.update(e.vertices)
-        return frozenset(out)
-
     def induced_weight(self, s: frozenset[int] | set[int]) -> Fraction:
         """Total mass of hyperedges entirely contained in s."""
         s = frozenset(s)
         d, a = self.masses
         return Fraction(sum(x for e, x in zip(self.edges, a) if e.vertices <= s), d)
-
-    def residual_weight(self, s: frozenset[int] | set[int]) -> Fraction:
-        """Mass not captured by s: total minus induced."""
-        return self.total_weight - self.induced_weight(s)
 
 
 def prefix_cover_counts(order: Sequence[int], samples: Iterable[Iterable[int]]) -> list[int]:

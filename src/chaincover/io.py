@@ -23,15 +23,13 @@ from .hypergraph import (
     InputError,
     WeightedHypergraph,
     as_fraction,
-    rational_from_text,
-    rational_to_text,
+    check_vertex_ids,
+    rational_to_text as text,
 )
 
 __all__ = [
     "ResultRow",
     "canonical_json",
-    "rational_to_text",
-    "rational_from_text",
     "load_instance",
     "save_instance",
     "load_pairs",
@@ -141,7 +139,7 @@ def _instance(doc: dict, where: str) -> tuple[WeightedHypergraph, list[str] | No
 def save_instance(path: str | Path, h: WeightedHypergraph, labels: Sequence[str] | None = None) -> None:
     doc: dict = {
         "n": h.n,
-        "edges": [{"v": sorted(e.vertices), "w": rational_to_text(e.weight)} for e in h.edges],
+        "edges": [{"v": sorted(e.vertices), "w": text(e.weight)} for e in h.edges],
     }
     if labels is not None:
         doc["vertices"] = list(labels)
@@ -149,7 +147,6 @@ def save_instance(path: str | Path, h: WeightedHypergraph, labels: Sequence[str]
 
 
 def save_chain(path: str | Path, chain: NestedChain) -> None:
-    text = rational_to_text
     doc = {
         "sets": [sorted(s) for s in chain.sets],
         "breakpoints": [text(b) for b in chain.breakpoints],
@@ -174,7 +171,12 @@ def load_pairs(path: str | Path) -> tuple[WeightedHypergraph, list[tuple[frozens
         at = f"{where}: pair {i}"
         if "a" not in p or "b" not in p:
             raise InputError(f"{at} needs 'a' and 'b'")
-        pairs.append((frozenset(_vertex_list(p["a"], at)), frozenset(_vertex_list(p["b"], at))))
+        a, b = _vertex_list(p["a"], at), _vertex_list(p["b"], at)
+        try:
+            check_vertex_ids(universe.n, (a, b))
+        except InputError as exc:
+            raise InputError(f"{at}: {exc}") from None
+        pairs.append((frozenset(a), frozenset(b)))
     if len(pairs) < 2:
         raise InputError(f"{where}: need at least two pairs to split")
     split = doc.get("split", len(pairs) // 2)

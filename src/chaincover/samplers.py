@@ -14,7 +14,6 @@ integer draws, so the output distribution is uniform by construction:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -35,7 +34,6 @@ __all__ = [
     "sample_itinerary",
     "build_tree_table",
     "sample_subtree",
-    "sample_size",
 ]
 
 
@@ -96,10 +94,6 @@ class WalkSample:
     vertices: tuple[int, ...]
     edge_keys: tuple[tuple[str, int], ...]
     cost: int
-
-    @property
-    def edge_set(self) -> frozenset[tuple[str, int]]:
-        return frozenset(self.edge_keys)
 
 
 def build_walk_table(
@@ -396,16 +390,3 @@ def sample_subtree(table: TreeDPTable, gen: np.random.Generator) -> frozenset[in
         stack.append([child, 0, j - (0 if child in reference else 1)])
     return frozenset(chosen)
 
-
-# ---------------------------------------------------------------- sizing
-
-
-def sample_size(n_vertices: int, alpha: float, delta: float, c: float = 1.0) -> int:
-    """Candidate-family sample budget sufficient for alpha-accurate coverage.
-
-    ceil(c * (n + ln(1/delta)) / alpha^2); the class dimension is bounded by
-    the vertex count.
-    """
-    if not 0 < alpha < 1 or not 0 < delta < 1:
-        raise InputError("alpha and delta must lie in (0, 1)")
-    return math.ceil(c * (n_vertices + math.log(1 / delta)) / alpha**2)

@@ -43,8 +43,9 @@ def three_path_instance() -> WeightedHypergraph:
 def skewed_instance() -> WeightedHypergraph:
     """Ten vertices, nested edges with sharply uneven per-vertex value.
 
-    Rounding the fractional cover and re-solving from scratch disagree
-    here, which pins down that the two selection routes stay distinct.
+    Rounding the fractional cover (``oracles.round_fractional``) and
+    ``select``'s residual rule disagree here, which pins down that ``select``
+    is not that rounding.
     """
     return WeightedHypergraph.build(
         10,

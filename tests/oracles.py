@@ -18,7 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from chaincover import WeightedHypergraph
+from chaincover import NestedChain, Selection, WeightedHypergraph, as_fraction, fractional_solution
+from chaincover.compress import _check_kappa
 
 
 @lru_cache(maxsize=None)
@@ -137,6 +138,23 @@ def exact_min_size(
                 optima.append(mask)
     assert best is not None, "the full vertex set always covers"
     return best, optima
+
+
+def round_fractional(chain: NestedChain, tau, kappa) -> Selection:
+    """Threshold the fractional optimum's vertex values at rho = kappa / (1 + kappa).
+
+    The reference that ``select`` is checked against: it returns the upper
+    bracket set of the fractional mix exactly when alpha >= rho, and
+    ``select`` never sits above it in the chain.  Unlike the rest of this
+    module it reads the library's ``fractional_solution``, which
+    ``test_compress`` checks against the exhaustive optimum on its own.
+    """
+    kappa = _check_kappa(kappa)
+    frac = fractional_solution(chain, tau)
+    rho = kappa / (1 + kappa)
+    index = frac.upper_index if frac.alpha >= rho else frac.lower_index
+    bound = (1 + kappa) * (1 - as_fraction(tau)) * chain.total
+    return Selection(index, chain.sets[index], chain.residuals[index], bound)
 
 
 def containment_threshold_scan(

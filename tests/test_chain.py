@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ def test_three_path_chain_frozen(three_path_instance):
     assert chain.breakpoints == (Fraction(20, 3), Fraction(15, 2))
     assert chain.induced == (Fraction(0), Fraction(3, 5), Fraction(1))
     assert chain.total == 1
-    assert chain.sizes == (0, 4, 7)
+    assert [len(s) for s in chain.sets] == [0, 4, 7]
     assert chain.residuals == (Fraction(1), Fraction(2, 5), Fraction(0))
 
 
@@ -38,19 +39,23 @@ def test_single_edge_chain():
 def test_breakpoint_identity_holds(three_path_instance):
     chain = nested_chain(three_path_instance)
     for j, lam in enumerate(chain.breakpoints, start=1):
-        lo = chain.sizes[j - 1] - lam * chain.induced[j - 1]
-        hi = chain.sizes[j] - lam * chain.induced[j]
+        lo = len(chain.sets[j - 1]) - lam * chain.induced[j - 1]
+        hi = len(chain.sets[j]) - lam * chain.induced[j]
         assert lo == hi
 
 
 def test_set_at_conventions(three_path_instance):
     chain = nested_chain(three_path_instance)
-    assert chain.set_at(Fraction(1)) == frozenset()
-    assert chain.set_at(Fraction(7)) == frozenset({0, 1, 2, 3})
-    assert chain.set_at(Fraction(100)) == chain.sets[-1]
+
+    def set_at(lam):  # the minimal minimizer at lam, as NestedChain documents it
+        return chain.sets[bisect_left(chain.breakpoints, lam)]
+
+    assert set_at(Fraction(1)) == frozenset()
+    assert set_at(Fraction(7)) == frozenset({0, 1, 2, 3})
+    assert set_at(Fraction(100)) == chain.sets[-1]
     # exactly at a breakpoint the cheaper of the two tied sets wins
-    assert chain.set_at(Fraction(20, 3)) == frozenset()
-    assert chain.set_at(Fraction(15, 2)) == frozenset({0, 1, 2, 3})
+    assert set_at(Fraction(20, 3)) == frozenset()
+    assert set_at(Fraction(15, 2)) == frozenset({0, 1, 2, 3})
 
 
 def test_edgeless_and_zero_weight_chains():
@@ -95,7 +100,8 @@ def test_chain_matches_oracle_on_randoms(seed, method, monkeypatch):
         want_sets, want_bps = chain_oracle(h)
         assert list(chain.sets) == want_sets
         assert list(chain.breakpoints) == want_bps
-        assert chain.sets[-1] == h.support
+        support = frozenset().union(*(e.vertices for e in h.edges if e.weight > 0))
+        assert chain.sets[-1] == support
     if method == "scipy":
         assert set(routes) == {"scipy"}
 
@@ -162,7 +168,7 @@ def test_one_recount_per_probe(monkeypatch):
     monkeypatch.setattr(LagrangianCutSolver, "solve_many", solving)
     monkeypatch.setattr(WeightedHypergraph, "induced_weight", counting)
     chain = nested_chain(zipf_hypergraph(48, 48, 240))
-    assert len(chain) >= 3
+    assert len(chain.sets) >= 3
     assert calls["induced_weight"] == calls["solve"]
 
 
@@ -184,6 +190,6 @@ def test_one_scipy_call_per_round(monkeypatch):
     monkeypatch.setattr(csgraph, "maximum_flow", flowing)
     monkeypatch.setattr(LagrangianCutSolver, "solve_many", solving)
     chain = nested_chain(zipf_hypergraph(48, 48, 240))
-    assert len(chain) >= 3
+    assert len(chain.sets) >= 3
     # the top probe, then one call per round: one scipy call each
     assert calls["maximum_flow"] == calls["solve_many"] < calls["probes"]

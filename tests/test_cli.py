@@ -15,13 +15,16 @@ from chaincover.cli import cli, main
 from chaincover.compress import select
 from chaincover.conformal import LabeledPair, calibrate, fixed_context_fit
 from chaincover.experiments import adversarial_rows
-from chaincover.hypergraph import InputError, WeightedHypergraph
+from chaincover.hypergraph import (
+    InputError,
+    WeightedHypergraph,
+    rational_from_text,
+    rational_to_text,
+)
 from chaincover.io import (
     canonical_json,
     load_chain,
     load_instance,
-    rational_from_text,
-    rational_to_text,
     result_csv,
     save_chain,
     save_instance,
@@ -131,8 +134,11 @@ def test_rationals_past_the_int_str_digit_limit(runner, tmp_path):
 def test_compress_tau_past_the_int_str_digit_limit(runner, instance_file, three_path_instance):
     limit = sys.get_int_max_str_digits()
     chain = nested_chain(three_path_instance)
-    for tau in (Fraction(1, 10**4400), Fraction(10**4400 - 1, 10**4400)):
-        result = runner.invoke(cli, ["compress", instance_file, "--tau", rational_to_text(tau)])
+    taus = [(rational_to_text(tau), tau)
+            for tau in (Fraction(1, 10**4400), Fraction(10**4400 - 1, 10**4400))]
+    taus.append(("0." + "0" * 5000 + "1", Fraction(1, 10**5001)))  # a decimal of any length
+    for text, tau in taus:
+        result = runner.invoke(cli, ["compress", instance_file, "--tau", text])
         assert result.exit_code == 0, result.output
         report = json.loads(result.output)
         sel = select(chain, tau, 1)
@@ -383,6 +389,11 @@ MALFORMED = {
                                 "pairs": [{"a": [0], "b": [0]}] * 2}),
     "negative-weight-past-digit-limit": (["chain", "doc.json", "out.json"],
                                          {"n": 1, "edges": [{"v": [0], "w": "-1" + "0" * 5000}]}),
+    "pair-vertex-out-of-range": (["calibrate", "doc.json", "--phi", "1/2"],
+                                 {"n": 2, "edges": [{"v": [0]}],
+                                  "pairs": [{"a": [9], "b": [9]}] * 2}),
+    "pair-vertex-negative": (["calibrate", "doc.json", "--phi", "1/2"],
+                             {"n": 2, "edges": [{"v": [0]}], "pairs": [{"a": [0], "b": [-1]}] * 2}),
 }
 
 

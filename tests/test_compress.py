@@ -10,12 +10,11 @@ from chaincover import (
     WeightedHypergraph,
     fractional_solution,
     nested_chain,
-    round_fractional,
     select,
     tau_threshold,
 )
 
-from oracles import exact_min_size, mass_table, phi_minimizers, random_hypergraph
+from oracles import exact_min_size, mass_table, phi_minimizers, random_hypergraph, round_fractional
 
 
 def test_skewed_chain_frozen(skewed_instance):
@@ -124,7 +123,8 @@ def test_guarantees_against_ilp_oracle(seed):
             for kappa in (Fraction(1, 2), Fraction(1), Fraction(2)):
                 r_opt, _ = exact_min_size(h, tau, table)
                 for sel in (select(chain, tau, kappa), round_fractional(chain, tau, kappa)):
-                    assert h.residual_weight(sel.vertex_set) <= (1 + kappa) * (1 - tau) * h.total_weight
+                    residual = h.total_weight - h.induced_weight(sel.vertex_set)
+                    assert residual <= (1 + kappa) * (1 - tau) * h.total_weight
                     assert len(sel.vertex_set) <= (1 + 1 / kappa) * r_opt
                 assert select(chain, tau, kappa).index <= round_fractional(chain, tau, kappa).index
 

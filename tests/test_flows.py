@@ -22,14 +22,14 @@ def test_single_edge_below_breakpoint(pair_edge):
     res = LagrangianCutSolver(pair_edge).solve(Fraction(1))
     assert res.vertex_set == frozenset()
     assert res.phi == 0
-    assert res.cut_value == 1  # lam * W with nothing captured
+    assert res.phi + res.lam * pair_edge.total_weight == 1  # the cut: lam * W, nothing captured
 
 
 def test_single_edge_above_breakpoint(pair_edge):
     res = LagrangianCutSolver(pair_edge).solve(Fraction(3))
     assert res.vertex_set == frozenset({0, 1})
     assert res.phi == -1
-    assert res.cut_value == 2
+    assert res.phi + res.lam * pair_edge.total_weight == 2
 
 
 def test_single_edge_tie_goes_minimal(pair_edge):
@@ -42,7 +42,7 @@ def test_single_edge_tie_goes_minimal(pair_edge):
 def test_lambda_zero_selects_empty(pair_edge):
     res = LagrangianCutSolver(pair_edge).solve(Fraction(0))
     assert res.vertex_set == frozenset()
-    assert res.cut_value == 0
+    assert res.phi + res.lam * pair_edge.total_weight == 0
 
 
 def test_negative_lambda_rejected(pair_edge):
@@ -80,7 +80,7 @@ def test_forced_routes_agree(pair_edge):
         a = solver.solve(lam)
         b = solver.solve(lam, method="dinic")
         assert (a.route, b.route) == ("scipy", "dinic")
-        assert (a.vertex_set, a.cut_value, a.phi) == (b.vertex_set, b.cut_value, b.phi)
+        assert (a.vertex_set, a.phi) == (b.vertex_set, b.phi)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -100,7 +100,6 @@ def test_routes_and_oracle_agree_on_randoms(seed):
             assert (a.route, b.route) == ("scipy", "dinic")
             assert a.vertex_set == b.vertex_set == want_set
             assert a.phi == b.phi == want_phi
-            assert a.cut_value == b.cut_value == want_phi + lam * h.total_weight
 
 
 def test_zero_weight_edges_stay_out_of_network():
@@ -171,24 +170,65 @@ def test_deep_chain_needs_no_recursion():
     assert got["breakpoints"] == [str(Fraction(1, 300 ** (300 - v))) for v in range(300)]
 
 
+# Edges {i, i + 1} listed from i = n - 2 down to 0 make Dinic's augmenting
+# paths run along the whole path, about n arcs long: a recursive walk over
+# one of them passes Python's default recursion limit once n reaches 500.
+# With the odd edges at (10**12 + 1)/10**12 every probe's capacities pass
+# int32, so "auto" takes the Dinic route as well.
+_LONG_PATHS = """
+import json
+from fractions import Fraction
+from chaincover import WeightedHypergraph, nested_chain
+
+n, odd = {n}, {odd}
+edges = [((i, i + 1), 1 if i % 2 == 0 else odd) for i in range(n - 2, -1, -1)]
+h = WeightedHypergraph.build(n, edges)
+chain = nested_chain(h, {method!r})
+print(json.dumps({{
+    "sets": [sorted(s) for s in chain.sets],
+    "breakpoints": [str(b) for b in chain.breakpoints],
+}}))
+"""
+
+
+def test_dinic_augments_long_paths_without_recursion():
+    n, big = 2000, "Fraction(10**12 + 1, 10**12)"
+    cases = {(odd, method): _LONG_PATHS.format(n=n, odd=odd, method=method)
+             for odd, method in ((big, "auto"), ("1", "dinic"), ("1", "auto"))}
+    # the children run side by side: the two Dinic chains take seconds each
+    children = {key: subprocess.Popen([sys.executable, "-c", code], env=child_env(),
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                for key, code in cases.items()}
+    got = {}
+    for key, child in children.items():
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+        got[key] = json.loads(out)
+    # the whole path is the only nonempty level: |K| / e(K) is least at K = V
+    for (odd, method), chain in got.items():
+        total = n // 2 + (n // 2 - 1) * (Fraction(10**12 + 1, 10**12) if odd == big else 1)
+        assert chain == {"sets": [[], list(range(n))], "breakpoints": [str(Fraction(n) / total)]}
+    # unit capacities fit int32: the scipy route is the reference for Dinic
+    assert got[("1", "dinic")] == got[("1", "auto")]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_contracted_probe_equals_full_solve(seed):
     # 30 vertices is beyond the exhaustive oracle; the full network is the reference
     h = zipf_hypergraph(300 + seed, 30, 70, dens=(2, 3, 5))
     chain = nested_chain(h, method="dinic")
-    assert len(chain) >= 4
+    assert len(chain.sets) >= 4
     solver = LagrangianCutSolver(h)
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
+    sizes = [len(s) for s in chain.sets]
+    for i in range(len(sizes)):
+        for j in range(i + 1, len(sizes)):
             # where the value lines of levels i and j cross
-            lam = Fraction(chain.sizes[j] - chain.sizes[i]) / (chain.induced[j] - chain.induced[i])
+            lam = Fraction(sizes[j] - sizes[i]) / (chain.induced[j] - chain.induced[i])
             for method, route in (("auto", "scipy"), ("dinic", "dinic")):
                 full = solver.solve(lam, method)
                 part = solver.solve(lam, method, chain.sets[i], chain.sets[j])
                 assert part.route == full.route == route
-                assert (part.vertex_set, part.phi, part.cut_value) == (
-                    full.vertex_set, full.phi, full.cut_value
-                )
+                assert (part.vertex_set, part.phi) == (full.vertex_set, full.phi)
                 assert part.arcs <= full.arcs
 
 
@@ -212,7 +252,7 @@ def test_probes_below_the_root_bracket_solve_smaller_networks(monkeypatch):
     chain = nested_chain(h)
     solver = LagrangianCutSolver(h)
     full = len(solver.edge_members) + sum(map(len, solver.edge_members)) + len(solver.support)
-    assert len(chain) >= 3
+    assert len(chain.sets) >= 3
     # the top probe and the first bracket (empty set, support) need the whole network
     (top_lo, top_hi, top_arcs), (root_lo, root_hi, root_arcs), *rest = probes
     assert (top_lo, top_hi, top_arcs) == (frozenset(), None, full)
@@ -242,15 +282,16 @@ def _bracket_probes(h, rng, count):
     chain = nested_chain(h, method="dinic")
     probes = [(Fraction(h.n + 1) / LagrangianCutSolver(h).min_positive, frozenset(), None)]
     for _ in range(count):
-        i, j = sorted(rng.choice(len(chain), size=2, replace=False).tolist())
-        lam = Fraction(chain.sizes[j] - chain.sizes[i]) / (chain.induced[j] - chain.induced[i])
+        i, j = sorted(rng.choice(len(chain.sets), size=2, replace=False).tolist())
+        size = len(chain.sets[j]) - len(chain.sets[i])
+        lam = Fraction(size) / (chain.induced[j] - chain.induced[i])
         probes.append((lam, chain.sets[i], chain.sets[j]))
     rng.shuffle(probes)
     return probes
 
 
 def _facts(result):
-    return result.vertex_set, result.phi, result.cut_value, result.route, result.arcs
+    return result.vertex_set, result.phi, result.route, result.arcs
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from chaincover import Hyperedge, InputError, WeightedHypergraph, as_fraction
-from chaincover.hypergraph import prefix_cover_counts
+from chaincover import Hyperedge, InputError, LagrangianCutSolver, WeightedHypergraph, as_fraction
+from chaincover.hypergraph import prefix_cover_counts, rational_from_text
 
 
 def test_as_fraction_exact_forms():
@@ -82,14 +82,51 @@ def test_as_fraction_reads_strings_past_the_int_str_digit_limit():
     assert as_fraction(f"1/1{zeros}") == Fraction(1, 10**5000)
     assert as_fraction(f" -3{zeros} ") == -3 * 10**5000
     assert as_fraction("0.25") == Fraction(1, 4)
+    # decimals, with or without an exponent, at any length
+    assert as_fraction("0." + zeros + "1") == Fraction(1, 10**5001)
+    assert as_fraction(f"-1{zeros}.5e-2") == Fraction(-(2 * 10**5000 + 1), 200)
+    assert as_fraction(f"1_{zeros}.0_1E+1") == Fraction(10**5002 + 1, 10)
     with pytest.raises(InputError):
         as_fraction(f"1/0{zeros}")
+    with pytest.raises(InputError):
+        as_fraction(f"0.{zeros}1/3")
     assert sys.get_int_max_str_digits() == limit
+
+
+_DIGITS = st.from_regex(r"[0-9]{1,3}(_[0-9]{1,2})?", fullmatch=True)
+
+
+@st.composite
+def rational_texts(draw):
+    """Strings near Fraction's grammar: p/q and decimals with exponents, and broken ones."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=" +-_./eE019", max_size=8))
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    num = draw(st.one_of(st.just(""), _DIGITS))
+    if draw(st.booleans()):
+        tail = "/" + draw(_DIGITS)
+    else:
+        dot = draw(st.one_of(st.just(""), st.just("."), _DIGITS.map(lambda d: "." + d)))
+        exp = draw(st.one_of(st.just(""), st.from_regex(r"[eE][+-]?[0-9]{1,2}", fullmatch=True)))
+        tail = dot + exp
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    return pad + sign + num + tail + pad
+
+
+@given(rational_texts())
+def test_rational_text_reads_what_fraction_reads(text):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            rational_from_text(text)
+    else:
+        assert rational_from_text(text) == want
 
 
 def test_zero_weight_edge_outside_support():
     h = WeightedHypergraph.build(3, [({0, 1}, 0), ({2}, 1)])
-    assert h.support == frozenset({2})
+    assert LagrangianCutSolver(h).support == (2,)
     assert h.total_weight == 1
     assert h.induced_weight({0, 1}) == 0
 
@@ -100,7 +137,7 @@ def test_empty_edge_counts_everywhere():
     assert h.induced_weight(frozenset()) == Fraction(1, 2)
     assert h.induced_weight({1}) == Fraction(1, 2)
     assert h.induced_weight({0}) == 1
-    assert h.residual_weight(frozenset()) == Fraction(1, 2)
+    assert h.total_weight - h.induced_weight(frozenset()) == Fraction(1, 2)
 
 
 @st.composite
@@ -120,7 +157,8 @@ def small_instances(draw):
 @given(small_instances())
 def test_induced_plus_residual_is_total(case):
     h, s = case
-    assert h.induced_weight(s) + h.residual_weight(s) == h.total_weight
+    residual = sum((e.weight for e in h.edges if not e.vertices <= s), Fraction(0))
+    assert h.induced_weight(s) + residual == h.total_weight
     assert 0 <= h.induced_weight(s) <= h.total_weight
 
 

@@ -7,14 +7,17 @@ from fractions import Fraction
 import pytest
 
 from chaincover.chain import nested_chain
-from chaincover.hypergraph import InputError, WeightedHypergraph
+from chaincover.hypergraph import (
+    InputError,
+    WeightedHypergraph,
+    rational_from_text,
+    rational_to_text,
+)
 from chaincover.io import (
     ResultRow,
     canonical_json,
     load_chain,
     load_instance,
-    rational_from_text,
-    rational_to_text,
     result_csv,
     save_chain,
     save_instance,

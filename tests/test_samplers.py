@@ -11,7 +11,6 @@ from chaincover.samplers import (
     build_tree_table,
     build_walk_table,
     sample_itinerary,
-    sample_size,
     sample_subtree,
     sample_walk,
 )
@@ -232,18 +231,6 @@ class TreeDPTableTampered:
 
     def verify(self):
         self._bad.verify()
-
-
-def test_sample_size_frozen():
-    assert sample_size(100, 0.1, 0.05) == 10300
-    assert sample_size(100, 0.1, 0.05, c=2.0) == 20600
-    assert sample_size(50, 0.5, 0.5) == 203
-
-
-def test_sample_size_validation():
-    for alpha, delta in ((0, 0.05), (1, 0.05), (0.1, 0), (0.1, 1)):
-        with pytest.raises(InputError):
-            sample_size(10, alpha, delta)
 
 
 def test_sampling_deterministic_per_stream():

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -105,10 +106,12 @@ def calibrate_stage2(
     """Coverage threshold tau* plus the per-pair scores that produced it.
 
     A pair's candidate family is its universe's own weighted hyperedges
-    within distance d* of its prediction.
+    within distance d* of its prediction.  One chain answers every target,
+    so pairs with equal families share one chain, built once per call.
     """
     phi = unit_fraction(phi, "phi")
     kappa = _check_kappa(kappa)  # also when every pair is censored
+    chains: dict[WeightedHypergraph, NestedChain] = {}
     etas: list[EtaScore] = []
     for pair in pairs:
         if distance_edge_symdiff(pair.prediction, pair.truth) > d_star:
@@ -118,7 +121,9 @@ def calibrate_stage2(
         family = WeightedHypergraph(u.n, tuple(
             e for e in u.edges if distance_edge_symdiff(pair.prediction, e.vertices) <= d_star
         ))
-        etas.append(EtaScore(tau_threshold(nested_chain(family), pair.truth, kappa), False))
+        if family not in chains:
+            chains[family] = nested_chain(family)
+        etas.append(EtaScore(tau_threshold(chains[family], pair.truth, kappa), False))
     if not etas:
         return Fraction(1), ()
     ordered = sorted(e.value for e in etas)
@@ -213,21 +218,29 @@ def fixed_context_fit(
 def _fixed_order(
     chain: NestedChain, first: Sequence[frozenset[int]], n_vertices: int
 ) -> tuple[int, ...]:
-    """Chain blocks in order; greedy first-half completion count inside each."""
+    """Chain blocks in order; greedy first-half completion count inside each.
+
+    missing[i] counts the vertices of first[i] not yet placed, and gain[v]
+    the samples whose only missing vertex is v: those that placing v completes.
+    """
+    missing = [len(s) for s in first]
+    holders: dict[int, list[int]] = defaultdict(list)  # vertex -> samples holding it
+    gain: Counter[int] = Counter(next(iter(s)) for s in first if len(s) == 1)
+    for i, s in enumerate(first):
+        for v in s:
+            holders[v].append(i)
     order: list[int] = []
     placed: set[int] = set()
-    uncovered = [s for s in first if s]
     for j in range(1, len(chain.sets)):
         block = set(chain.sets[j] - chain.sets[j - 1])
         while block:
-            best = min(
-                block,
-                key=lambda v: (-sum(1 for s in uncovered if v in s and s <= placed | {v}), v),
-            )
+            best = min(block, key=lambda v: (-gain[v], v))
             block.remove(best)
             placed.add(best)
             order.append(best)
-            uncovered = [s for s in uncovered if not s <= placed]
-    tail = sorted(set(range(n_vertices)) - placed)
-    order.extend(tail)
+            for i in holders[best]:
+                missing[i] -= 1
+                if missing[i] == 1:
+                    gain[next(v for v in first[i] if v not in placed)] += 1
+    order.extend(v for v in range(n_vertices) if v not in placed)
     return tuple(order)

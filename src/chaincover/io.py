@@ -204,6 +204,9 @@ def _chain(doc: dict, where: str) -> NestedChain:
         chain.validate()
     except Exception as exc:
         raise InputError(f"{where}: {exc}") from None
+    # no n to check ids against; the sets are nested, so the top one holds every id
+    if min(chain.sets[-1], default=0) < 0:
+        raise InputError(f"{where}: vertex ids must be non-negative")
     return chain
 
 

@@ -157,6 +157,33 @@ def round_fractional(chain: NestedChain, tau, kappa) -> Selection:
     return Selection(index, chain.sets[index], chain.residuals[index], bound)
 
 
+def fixed_order_reference(
+    chain: NestedChain, first: Sequence[frozenset[int]], n_vertices: int
+) -> tuple[int, ...]:
+    """The fixed-context vertex order, recounted from scratch at every step.
+
+    Chain blocks in order; inside a block, repeatedly the vertex completing
+    the most still-uncovered first-half samples, ties by ascending id; then
+    every unplaced vertex of [0, n) in ascending id.
+    """
+    order: list[int] = []
+    placed: set[int] = set()
+    uncovered = [s for s in first if s]
+    for j in range(1, len(chain.sets)):
+        block = set(chain.sets[j] - chain.sets[j - 1])
+        while block:
+            best = min(
+                block,
+                key=lambda v: (-sum(1 for s in uncovered if v in s and s <= placed | {v}), v),
+            )
+            block.remove(best)
+            placed.add(best)
+            order.append(best)
+            uncovered = [s for s in uncovered if not s <= placed]
+    order.extend(sorted(set(range(n_vertices)) - placed))
+    return tuple(order)
+
+
 def containment_threshold_scan(
     select_fn, taus: Sequence[Fraction], target: frozenset[int]
 ) -> Fraction | None:

@@ -382,6 +382,9 @@ MALFORMED = {
                     {"n": 2, "edges": [{"v": [0], "w": True}]}),
     "empty-chain-stats": (["compress", "doc.json", "--tau", "1/2"],
                           {"sets": [[]], "breakpoints": [], "stats": []}),
+    "chain-vertex-negative": (["compress", "doc.json", "--tau", "1"],
+                              {"sets": [[], [-5]], "breakpoints": ["1"],
+                               "stats": [{"induced": "0"}, {"induced": "1", "residual": "0"}]}),
     "pair-edge-without-v": (["calibrate", "doc.json", "--phi", "1/2"],
                             {"n": 1, "edges": [{"w": 1}], "pairs": [{"a": [0], "b": [0]}] * 2}),
     "pair-edge-float-weight": (["calibrate", "doc.json", "--phi", "1/2"],

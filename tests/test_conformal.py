@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from chaincover import (
     calibrate,
     calibrate_stage1,
     calibrate_stage2,
+    conformal,
     distance_edge_symdiff,
     fixed_context_fit,
     nested_chain,
@@ -21,7 +23,7 @@ from chaincover import (
 )
 from chaincover.rng import stream
 
-from oracles import random_hypergraph
+from oracles import fixed_order_reference, random_hypergraph
 
 
 def test_distance_edge_symdiff():
@@ -149,6 +151,45 @@ def test_calibrate_takes_no_family_argument():
         calibrate(pairs, pairs, Fraction(1, 2), edge_source=family)
     with pytest.raises(TypeError):
         calibrate_stage2(pairs, math.inf, Fraction(1, 2), 1, family)
+
+
+def test_stage2_builds_one_chain_per_distinct_family(monkeypatch):
+    # a and a_copy are equal but distinct objects; b differs in one weight.
+    # Under d* = 2 the prediction {0, 1} keeps {0,1} and {0,1,2}, {2, 3}
+    # keeps {2,3} alone and {4, 5, 6} keeps {4,5,6} alone.
+    edges = [({0, 1}, 1), ({2, 3}, 1), ({4, 5, 6}, 1), ({0, 1, 2}, 1)]
+    a, a_copy = WeightedHypergraph.build(8, edges), WeightedHypergraph.build(8, edges)
+    b = WeightedHypergraph.build(8, [({0, 1}, 2)] + edges[1:])
+    assert a == a_copy and a is not a_copy and a != b
+    pairs = [
+        _pair({0, 1}, {0, 1}, a),
+        _pair({0, 1}, {5, 6, 7}, a),           # censored
+        _pair({0, 1}, {0, 1, 2}, a_copy),
+        _pair({2, 3}, {2, 3}, a),
+        _pair({0, 1}, {0, 1}, b),
+        _pair({2, 3}, {2}, a_copy),
+        _pair({4, 5, 6}, {1, 2, 3, 7}, b),     # censored
+        _pair({4, 5, 6}, {4, 5}, a),
+        _pair({0, 1}, {0, 1, 2}, b),
+    ]
+    d_star, kappa = 2, Fraction(1, 2)
+    reference, families = [], set()
+    for p in pairs:
+        if distance_edge_symdiff(p.prediction, p.truth) > d_star:
+            reference.append((Fraction(1), True))
+            continue
+        family = WeightedHypergraph(p.universe.n, tuple(
+            e for e in p.universe.edges if distance_edge_symdiff(p.prediction, e.vertices) <= d_star
+        ))
+        families.add(family)
+        reference.append((tau_threshold(nested_chain(family), p.truth, kappa), False))
+    assert len(families) == 4
+    built = []
+    monkeypatch.setattr(conformal, "nested_chain", lambda h: built.append(h) or nested_chain(h))
+    _, etas = calibrate_stage2(pairs, d_star, Fraction(1, 2), kappa)
+    assert len(built) == len(families)
+    assert set(built) == families
+    assert [(e.value, e.censored) for e in etas] == reference
 
 
 def test_stage2_empty_is_full_threshold():
@@ -364,3 +405,21 @@ def test_fixed_context_validity_monte_carlo():
         hits += draws[t] <= fit.vertex_set
     sigma = math.sqrt(phi * (1 - phi) / reps)
     assert hits / reps >= float(phi) - 3 * sigma
+
+
+def test_fixed_order_matches_the_recounting_greedy():
+    # multisets with repeated samples, empty samples and vertices that no
+    # first-half sample holds (outside the chain's top set)
+    rnd = random.Random(2026)
+    seen = {"duplicate": 0, "empty": 0, "outside": 0}
+    for _ in range(300):
+        n = rnd.randint(1, 9)
+        pool = [frozenset(rnd.sample(range(n), rnd.randint(0, min(n, 4)))) for _ in range(5)]
+        samples = [rnd.choice(pool) for _ in range(rnd.randint(2, 16))]
+        fit = fixed_context_fit(samples, Fraction(rnd.randint(0, 10), 10), n)
+        first = samples[: len(samples) // 2]
+        assert fit.order == fixed_order_reference(fit.chain, first, n)
+        seen["duplicate"] += len(set(first)) < len(first)
+        seen["empty"] += frozenset() in first
+        seen["outside"] += len(fit.chain.sets[-1]) < n
+    assert min(seen.values()) >= 20, seen

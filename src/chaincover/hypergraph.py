@@ -76,18 +76,17 @@ def rational_from_text(text: str) -> Fraction:
 
 
 def as_fraction(value) -> Fraction:
-    """Exact rational from int/Fraction/str/float; strings of any length.
+    """Exact rational from int/Fraction/str; strings of any length.
 
-    Floats go through their shortest decimal repr so that 0.3 means 3/10,
-    not the binary double closest to it.
+    Floats are rejected: a double is rarely the rational it was meant to be.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float):
+        raise InputError(f"float {value!r} is not exact; pass a string such as '3/10' or a Fraction")
     try:
         if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
-        if isinstance(value, float):
-            return Fraction(str(value))
         if isinstance(value, str):
             return rational_from_text(value)
     except (ValueError, ZeroDivisionError) as exc:

@@ -61,9 +61,7 @@ def _is_int(value: object) -> bool:
 
 
 def _frac(value: object, where: str) -> Fraction:
-    """``as_fraction`` for the two JSON forms of a rational: strings and ints."""
-    if not (isinstance(value, str) or _is_int(value)):
-        raise InputError(f"{where}: rationals must be strings or ints, got {value!r}")
+    """``as_fraction``, with ``where`` in front of its error."""
     try:
         return as_fraction(value)
     except InputError as exc:
@@ -93,6 +91,13 @@ def _read_doc(path: str | Path, kind: str) -> dict:
     if not isinstance(doc, dict):
         raise InputError(f"{kind} {path}: expected a JSON object")
     return doc
+
+
+def _write(path: str | Path, kind: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:  # a missing directory, or a directory given as the file
+        raise InputError(f"cannot write {kind} {path}: {exc}") from None
 
 
 def _hypergraph(doc: dict, where: str, weight) -> WeightedHypergraph:
@@ -143,7 +148,7 @@ def save_instance(path: str | Path, h: WeightedHypergraph, labels: Sequence[str]
     }
     if labels is not None:
         doc["vertices"] = list(labels)
-    Path(path).write_text(canonical_json(doc))
+    _write(path, "instance", canonical_json(doc))
 
 
 def save_chain(path: str | Path, chain: NestedChain) -> None:
@@ -153,7 +158,7 @@ def save_chain(path: str | Path, chain: NestedChain) -> None:
         "stats": [{"size": len(s), "induced": text(e), "residual": text(chain.total - e)}
                   for s, e in zip(chain.sets, chain.induced)],
     }
-    Path(path).write_text(canonical_json(doc))
+    _write(path, "chain", canonical_json(doc))
 
 
 def load_pairs(path: str | Path) -> tuple[WeightedHypergraph, list[tuple[frozenset[int], frozenset[int]]], int]:
@@ -222,4 +227,4 @@ def result_csv(rows: Sequence[ResultRow]) -> str:
 
 
 def write_result_csv(path: str | Path, rows: Sequence[ResultRow]) -> None:
-    Path(path).write_text(result_csv(rows))
+    _write(path, "result table", result_csv(rows))

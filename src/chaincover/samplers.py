@@ -10,12 +10,14 @@ integer draws, so the output distribution is uniform by construction:
 * itineraries: one activity per group, cost 1 per activity off the reference;
 * subtrees: root-containing connected subtrees, cost 1 per node off the
   reference subtree.
+
+Each builder computes every field of its table in one pass; each family's
+recurrence is one function that the builder and ``verify()`` share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +38,13 @@ __all__ = [
     "sample_subtree",
 ]
 
+Move = tuple[int, int, tuple[str, int]]  # (successor, cost, edge key)
+
+
+def _unit(budget: int) -> tuple[int, ...]:
+    """Counts row of the empty object: one object, of cost 0."""
+    return (1,) + (0,) * budget
+
 
 # ---------------------------------------------------------------- walks
 
@@ -44,49 +53,51 @@ __all__ = [
 class WalkDPTable:
     """Counts N[(u, k)] of cost-k u->t walks; absorbing target.
 
-    ``adjacency`` holds the moves leaving each vertex, derived once from
-    ``path`` and ``other_edges``.
+    ``adjacency`` holds the moves leaving each vertex, as ``_walk_moves``
+    derives them from ``path`` and ``other_edges``.
     """
 
     path: tuple[int, ...]
     other_edges: tuple[tuple[int, int], ...]
     budget: int
-    nodes: tuple[int, ...]
     counts: dict[tuple[int, int], int]
     partition: int  # total admissible walks from s
-    adjacency: dict[int, tuple[tuple[int, int, tuple[str, int]], ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    adjacency: dict[int, tuple[Move, ...]]
 
-    def __post_init__(self) -> None:
-        out: dict[int, list[tuple[int, int, tuple[str, int]]]] = {}
-        for i in range(len(self.path) - 1):
-            out.setdefault(self.path[i], []).append((self.path[i + 1], 0, ("path", i)))
-        for j, (a, b) in enumerate(self.other_edges):
-            out.setdefault(a, []).append((b, 1, ("free", j)))
-            if b != a:
-                out.setdefault(b, []).append((a, 1, ("free", j)))
-        out.pop(self.path[-1], None)
-        object.__setattr__(self, "adjacency", {u: tuple(m) for u, m in out.items()})
-
-    def moves(self, u: int) -> tuple[tuple[int, int, tuple[str, int]], ...]:
+    def moves(self, u: int) -> tuple[Move, ...]:
         """(successor, cost, edge key) triples leaving u; none leave t."""
         return self.adjacency.get(u, ())
 
     def verify(self) -> None:
-        """Re-derive every filled cell from its defining sum."""
+        """Re-derive the moves, every filled cell and the partition."""
+        if self.adjacency != _walk_moves(self.path, self.other_edges):
+            raise InvariantError("walk moves inconsistent with the path and free edges")
         t = self.path[-1]
         for (u, k), value in self.counts.items():
-            if u == t:
-                expect = 1 if k == 0 else 0
-            else:
-                expect = sum(
-                    self.counts.get((v, k - c), 0) for v, c, _ in self.moves(u) if k >= c
-                )
+            expect = _walk_cell(self.counts, self.adjacency, t, u, k)
             if value != expect:
                 raise InvariantError(f"walk DP cell ({u},{k}) inconsistent: {value} != {expect}")
         if self.partition != sum(self.counts.get((self.path[0], k), 0) for k in range(self.budget + 1)):
             raise InvariantError("walk DP partition total inconsistent")
+
+
+def _walk_moves(path, other_edges) -> dict[int, tuple[Move, ...]]:
+    """Path edges forward at cost 0, free edges both ways at cost 1; no move leaves t."""
+    out: dict[int, list[Move]] = {}
+    for i in range(len(path) - 1):
+        out.setdefault(path[i], []).append((path[i + 1], 0, ("path", i)))
+    for j, (a, b) in enumerate(other_edges):
+        out.setdefault(a, []).append((b, 1, ("free", j)))
+        out.setdefault(b, []).append((a, 1, ("free", j)))
+    out.pop(path[-1], None)
+    return {u: tuple(m) for u, m in out.items()}
+
+
+def _walk_cell(counts, adjacency, t: int, u: int, k: int) -> int:
+    """N[(u, k)]: t ends one walk, of cost 0; another vertex sums the cells its moves reach."""
+    if u == t:
+        return int(k == 0)
+    return sum(counts.get((v, k - c), 0) for v, c, _ in adjacency.get(u, ()) if k >= c)
 
 
 @dataclass(frozen=True)
@@ -113,25 +124,20 @@ def build_walk_table(
         if frozenset((a, b)) in seen:
             raise InputError(f"duplicate edge {{{a},{b}}}")
         seen.add(frozenset((a, b)))
-    nodes = tuple(sorted(set(path) | {v for e in other_edges for v in e}))
-    table = WalkDPTable(path, tuple((a, b) for a, b in other_edges), budget, nodes, {}, 0)
-    counts = table.counts
+    other_edges = tuple((a, b) for a, b in other_edges)
+    adjacency = _walk_moves(path, other_edges)
     t = path[-1]
-    on_path = set(path)
-    off_nodes = [u for u in nodes if u not in on_path]
-    rev_path = [u for u in reversed(path) if u != t]
+    off_nodes = sorted({v for e in other_edges for v in e} - set(path))
+    # off-path cells depend only on layer k-1; on-path cells additionally
+    # depend on the same layer through the forward 0-cost edge, so they
+    # are filled from the target backwards
+    order = (t, *off_nodes, *reversed(path[:-1]))
+    counts: dict[tuple[int, int], int] = {}
     for k in range(budget + 1):
-        counts[(t, k)] = 1 if k == 0 else 0
-        # off-path cells depend only on layer k-1; on-path cells additionally
-        # depend on the same layer through the forward 0-cost edge, so they
-        # are filled from the target backwards
-        for u in off_nodes + rev_path:
-            counts[(u, k)] = sum(
-                counts.get((v, k - c), 0) for v, c, _ in table.moves(u) if k >= c
-            )
+        for u in order:
+            counts[(u, k)] = _walk_cell(counts, adjacency, t, u, k)
     partition = sum(counts[(path[0], k)] for k in range(budget + 1))
-    object.__setattr__(table, "partition", partition)
-    return table
+    return WalkDPTable(path, other_edges, budget, counts, partition, adjacency)
 
 
 def sample_walk(table: WalkDPTable, gen: np.random.Generator) -> WalkSample:
@@ -169,19 +175,20 @@ class GroupedDPTable:
     partition: int
 
     def verify(self) -> None:
-        r_groups = len(self.groups)
-        for r in range(r_groups + 1):
-            for k in range(self.budget + 1):
-                if r == r_groups:
-                    expect = 1 if k == 0 else 0
-                else:
-                    expect = self.counts[r + 1][k]
-                    if k >= 1:
-                        expect += (len(self.groups[r]) - 1) * self.counts[r + 1][k - 1]
-                if self.counts[r][k] != expect:
-                    raise InvariantError(f"group DP cell ({r},{k}) inconsistent")
+        """Re-derive every row from the row below it, and the partition."""
+        if len(self.counts) != len(self.groups) + 1 or self.counts[-1] != _unit(self.budget):
+            raise InvariantError("group DP needs one row per group above the empty-suffix row")
+        for r, group in enumerate(self.groups):
+            if self.counts[r] != _group_row(len(group), self.counts[r + 1]):
+                raise InvariantError(f"group DP row {r} inconsistent")
         if self.partition != sum(self.counts[0]):
             raise InvariantError("group DP partition total inconsistent")
+
+
+def _group_row(size: int, below: Sequence[int]) -> tuple[int, ...]:
+    """Row of a group of ``size`` above ``below``: keep the reference at cost 0,
+    or take one of the other size - 1 activities at cost 1."""
+    return (below[0], *(below[k] + (size - 1) * below[k - 1] for k in range(1, len(below))))
 
 
 def build_group_table(
@@ -200,18 +207,11 @@ def build_group_table(
             raise InputError(f"group {r} must be nonempty without repeats")
         if reference[r] not in g:
             raise InputError(f"reference activity {reference[r]} not in group {r}")
-    r_groups = len(groups)
-    counts = [[0] * (budget + 1) for _ in range(r_groups + 1)]
-    counts[r_groups][0] = 1
-    for r in range(r_groups - 1, -1, -1):
-        for k in range(budget + 1):
-            c = counts[r + 1][k]
-            if k >= 1:
-                c += (len(groups[r]) - 1) * counts[r + 1][k - 1]
-            counts[r][k] = c
-    return GroupedDPTable(
-        groups, reference, budget, tuple(tuple(row) for row in counts), sum(counts[0])
-    )
+    rows = [_unit(budget)]
+    for g in reversed(groups):
+        rows.append(_group_row(len(g), rows[-1]))
+    counts = tuple(reversed(rows))
+    return GroupedDPTable(groups, reference, budget, counts, sum(counts[0]))
 
 
 def sample_itinerary(table: GroupedDPTable, gen: np.random.Generator) -> tuple[int, ...]:
@@ -238,12 +238,9 @@ def sample_itinerary(table: GroupedDPTable, gen: np.random.Generator) -> tuple[i
 class TreeDPTable:
     """Counts counts[u][k] of u-rooted subtrees of cost k.
 
-    Derived from ``children`` and ``counts``: ``factors[v]`` is v's
-    include-or-skip series and ``suffixes[u][i]`` the product of the factors
-    of ``children[u][i:]``, so a draw only looks them up.  The suffix
-    products are the partial products of the pass that computes ``counts``,
-    so ``build_tree_table`` stores the ones its pass made; a table
-    constructed otherwise derives them on first use.
+    ``factors[v]`` is v's include-or-skip series and ``suffixes[u][i]`` the
+    product of the factors of ``children[u][i:]``, so a draw only looks them
+    up; both come from the pass that computes ``counts``.
     """
 
     parent: tuple[int, ...]  # parent[root] == root
@@ -253,20 +250,17 @@ class TreeDPTable:
     children: tuple[tuple[int, ...], ...]
     counts: tuple[tuple[int, ...], ...]  # counts[u][k]
     partition: int
-    factors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(_child_factor(row) for row in self.counts))
-
-    @cached_property
-    def suffixes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return tuple(_suffix_products(kids, self.factors, self.budget) for kids in self.children)
+    factors: tuple[tuple[int, ...], ...]
+    suffixes: tuple[tuple[tuple[int, ...], ...], ...]
 
     def verify(self) -> None:
+        """Re-derive the factors, then each node's suffix products and row, and the partition."""
+        if self.factors != tuple(_child_factor(row) for row in self.counts):
+            raise InvariantError("tree DP factors inconsistent with the counts")
         for u in range(len(self.parent)):
             expect = _suffix_products(self.children[u], self.factors, self.budget)
             row = _tree_row(expect[0], 0 if u in self.reference else 1, self.budget)
-            if tuple(self.counts[u]) != tuple(row) or self.suffixes[u] != expect:
+            if self.counts[u] != row or self.suffixes[u] != expect:
                 raise InvariantError(f"tree DP row {u} inconsistent")
         if self.partition != sum(self.counts[self.root]):
             raise InvariantError("tree DP partition total inconsistent")
@@ -291,15 +285,15 @@ def _suffix_products(
     kids: Sequence[int], factors: Sequence[Sequence[int]], budget: int
 ) -> tuple[tuple[int, ...], ...]:
     """Products of the child factors of kids[i:], for i = 0..len(kids)."""
-    suffixes = [tuple([1] + [0] * budget)]
+    suffixes = [_unit(budget)]
     for child in reversed(kids):
         suffixes.append(tuple(_convolve(factors[child], suffixes[-1], budget)))
     return tuple(reversed(suffixes))
 
 
-def _tree_row(product: Sequence[int], cost: int, budget: int) -> list[int]:
+def _tree_row(product: Sequence[int], cost: int, budget: int) -> tuple[int, ...]:
     """counts row of a node of ``cost`` whose children's factors multiply to ``product``."""
-    return [product[k - cost] if k >= cost else 0 for k in range(budget + 1)]
+    return tuple(product[k - cost] if k >= cost else 0 for k in range(budget + 1))
 
 
 def build_tree_table(
@@ -327,14 +321,12 @@ def build_tree_table(
         if v != root and parent[v] not in reference:
             raise InputError(f"reference subtree disconnected at {v}")
     children: list[list[int]] = [[] for _ in range(n)]
-    top_down: list[int] = [root]
     for v in range(n):
         if v != root:
             children[parent[v]].append(v)
-    idx = 0
-    while idx < len(top_down):
-        top_down.extend(children[top_down[idx]])
-        idx += 1
+    top_down = [root]
+    for u in top_down:  # breadth-first: the loop also visits the nodes it appends
+        top_down.extend(children[u])
     if len(top_down) != n:
         raise InputError("parent array does not describe one tree")
     counts: list[tuple[int, ...]] = [()] * n
@@ -342,19 +334,12 @@ def build_tree_table(
     suffixes: list[tuple[tuple[int, ...], ...]] = [()] * n
     for u in reversed(top_down):  # children before parents
         suffixes[u] = _suffix_products(children[u], factors, budget)
-        counts[u] = tuple(_tree_row(suffixes[u][0], 0 if u in reference else 1, budget))
+        counts[u] = _tree_row(suffixes[u][0], 0 if u in reference else 1, budget)
         factors[u] = _child_factor(counts[u])
-    table = TreeDPTable(
-        parent,
-        root,
-        reference,
-        budget,
-        tuple(tuple(c) for c in children),
-        tuple(counts),
-        sum(counts[root]),
+    return TreeDPTable(
+        parent, root, reference, budget, tuple(map(tuple, children)),
+        tuple(counts), sum(counts[root]), tuple(factors), tuple(suffixes),
     )
-    vars(table)["suffixes"] = tuple(suffixes)  # the cached property, from this pass
-    return table
 
 
 def sample_subtree(table: TreeDPTable, gen: np.random.Generator) -> frozenset[int]:

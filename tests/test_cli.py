@@ -427,6 +427,28 @@ def test_malformed_file_is_an_input_error(tmp_path, monkeypatch, capsys, args, d
     assert capsys.readouterr().err.startswith("input error:")
 
 
+UNWRITABLE_COMMANDS = {
+    "chain": ["chain", "inst.json"],
+    "experiment": ["experiment", "adversarial", "--path-len", "4", "--parallel", "2",
+                   "--seeds", "0", "--out"],
+}
+
+
+@pytest.mark.parametrize("out", ["missing/out", "taken"], ids=["missing-dir", "dir-as-file"])
+@pytest.mark.parametrize("args", list(UNWRITABLE_COMMANDS.values()), ids=list(UNWRITABLE_COMMANDS))
+def test_unwritable_out_is_an_input_error(tmp_path, monkeypatch, capsys, three_path_instance,
+                                          args, out):
+    save_instance(tmp_path / "inst.json", three_path_instance)
+    (tmp_path / "taken").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["chaincover", *args, out])
+    with pytest.raises(SystemExit) as stop:
+        main()
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot write") and out in err
+
+
 def test_import_loads_neither_numpy_nor_scipy():
     # the package and its file formats import without the solver's numeric stack
     code = (

@@ -16,10 +16,11 @@ def test_as_fraction_exact_forms():
     assert as_fraction("0.25") == Fraction(1, 4)
 
 
-def test_as_fraction_float_reads_decimal_repr():
-    # 0.3 must mean 3/10 even though the double is not exactly that
-    assert as_fraction(0.3) == Fraction(3, 10)
-    assert as_fraction(0.1) == Fraction(1, 10)
+@pytest.mark.parametrize("value", [0.1, 0.3, float("nan"), float("inf")])
+def test_as_fraction_rejects_floats(value):
+    # a double is not the rational it was typed as; strings and Fractions are
+    with pytest.raises(InputError, match="pass a string"):
+        as_fraction(value)
 
 
 def test_as_fraction_rejects_junk():

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -6,7 +7,6 @@ from scipy import stats
 from chaincover import InputError, InvariantError
 from chaincover.rng import stream
 from chaincover.samplers import (
-    GroupedDPTable,
     build_group_table,
     build_tree_table,
     build_walk_table,
@@ -83,9 +83,20 @@ def test_walk_validation():
 
 def test_walk_verify_detects_tampering():
     table = build_walk_table(PATH, FREE, 1)
-    table.counts[(0, 1)] += 1  # the dict itself is reachable; corrupt a cell
-    with pytest.raises(InvariantError):
+    # the dict itself is reachable; corrupt a cell off the source, so that
+    # the partition still agrees
+    table.counts[(1, 1)] += 1
+    with pytest.raises(InvariantError, match="cell"):
         table.verify()
+
+
+def test_walk_verify_detects_tampered_moves():
+    good = build_walk_table(PATH, FREE, 1)
+    # the counts still match: only the edge key of vertex 0's free move is wrong
+    moves = {**good.adjacency, 0: ((1, 0, ("path", 0)), (2, 1, ("free", 1)))}
+    assert moves != good.adjacency
+    with pytest.raises(InvariantError, match="moves"):
+        dataclasses.replace(good, adjacency=moves).verify()
 
 
 def test_group_counts_closed_form():
@@ -133,11 +144,9 @@ def test_group_validation():
 
 def test_group_verify_detects_tampering():
     good = build_group_table([(0, 1, 2)], (0,), 1)
-    bad = GroupedDPTable(
-        good.groups, good.reference, good.budget,
-        ((2, 2),) + good.counts[1:], good.partition,
-    )
-    with pytest.raises(InvariantError):
+    assert good.counts == ((1, 2), (1, 0))
+    bad = dataclasses.replace(good, counts=((2, 1),) + good.counts[1:])  # same partition
+    with pytest.raises(InvariantError, match="row 0"):
         bad.verify()
 
 
@@ -215,22 +224,31 @@ def test_deep_tree_draws_without_recursion():
 
 def test_tree_verify_detects_tampering():
     good = build_tree_table(TREE_PARENT, 0, TREE_REF, 2)
-    bad = TreeDPTableTampered(good)
-    with pytest.raises(InvariantError):
+    assert good.counts[0] == (2, 4, 3) and good.factors[0] == (3, 4, 3)
+    # a root row with the same total and its own matching factor: only the
+    # re-derived row tells it apart
+    bad = dataclasses.replace(
+        good, counts=((3, 3, 3),) + good.counts[1:], factors=((4, 3, 3),) + good.factors[1:]
+    )
+    with pytest.raises(InvariantError, match="row 0"):
         bad.verify()
 
 
-class TreeDPTableTampered:
-    def __init__(self, good):
-        from chaincover.samplers import TreeDPTable
+def test_tree_verify_detects_tampered_factors():
+    good = build_tree_table(TREE_PARENT, 0, TREE_REF, 2)
+    # the root's factor enters no suffix product, so only the factor check sees it
+    bad = dataclasses.replace(good, factors=((9, 9, 9),) + good.factors[1:])
+    with pytest.raises(InvariantError, match="factors"):
+        bad.verify()
 
-        self._bad = TreeDPTable(
-            good.parent, good.root, good.reference, good.budget, good.children,
-            ((9, 9, 9),) + good.counts[1:], good.partition,
-        )
 
-    def verify(self):
-        self._bad.verify()
+def test_tree_verify_detects_tampered_suffixes():
+    good = build_tree_table(TREE_PARENT, 0, TREE_REF, 2)
+    assert good.children[0] == (1, 4) and good.suffixes[0][1] == (1, 1, 0)
+    root_suffixes = (good.suffixes[0][0], (1, 0, 1), good.suffixes[0][2])
+    bad = dataclasses.replace(good, suffixes=(root_suffixes,) + good.suffixes[1:])
+    with pytest.raises(InvariantError, match="row 0"):
+        bad.verify()
 
 
 def test_sampling_deterministic_per_stream():

@@ -17,8 +17,8 @@ from .chain import NestedChain, nested_chain
 from .compress import select
 from .conformal import LabeledPair, calibrate, fixed_context_fit, quantile_index
 from .hypergraph import InputError, InvariantError, as_fraction, rational_to_text as text
-from .io import canonical_json, load_chain_or_instance, load_instance, load_pairs, save_chain
-from .io import write_result_csv
+from .io import canonical_json, check_writable, load_chain_or_instance, load_instance, load_pairs
+from .io import save_chain, write_result_csv
 
 _ENV_SEED = "CHAINCOVER_SEED"
 
@@ -64,6 +64,7 @@ def cli() -> None:
 def cmd_chain(instance: str, out: str) -> None:
     """Write the full nested chain of INSTANCE to OUT."""
     h, _ = load_instance(instance)
+    check_writable(out)
     chain = nested_chain(h)
     save_chain(out, chain)
     click.echo(f"{len(chain.sets)} sets, {len(chain.breakpoints)} breakpoints -> {out}")
@@ -149,6 +150,7 @@ def cmd_experiment(kind: str, out: str, seeds: str | None, phi_grid: str | None,
     """Run a generator + methods sweep and write the result CSV to OUT."""
     seed_list = _seeds_csv(seeds) if seeds else [_default_seed()]
     phis = _fractions_csv(phi_grid) if phi_grid else list(xp.default_phi_grid())
+    check_writable(out)
     if kind == "adversarial":
         rows = xp.adversarial_rows(path_len, parallel, eps, kappa, seed_list)
     else:

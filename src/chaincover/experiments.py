@@ -28,7 +28,7 @@ from .hypergraph import (
     unit_fraction,
 )
 from .io import ResultRow
-from .rng import stream
+from .rng import stream, streams
 
 __all__ = [
     "GridRoutingConfig",
@@ -179,21 +179,30 @@ class TripData:
     degenerate_complement: bool  # complement draws fell back to the core
 
 
-def _trip_sample(cfg: TripPlanConfig, seed: int, tag: int, index: int) -> tuple[frozenset[int], bool]:
+def _trip_sample(cfg: TripPlanConfig, groups) -> tuple[frozenset[int], bool]:
+    """One itinerary from each group's (coin, index) generators."""
     p = cfg.per_group_core_prob
     c = cfg.core_per_group
     picks = []
     fell_back = False
-    for g in range(cfg.groups):
+    for g, (coin, idx_gen) in enumerate(groups):
         base = g * cfg.group_size
-        take_core = stream(seed, tag, index, g, 0).random() < p
-        idx_gen = stream(seed, tag, index, g, 1)
+        take_core = coin.random() < p
         if take_core or c == cfg.group_size:
             fell_back = fell_back or (not take_core)
             picks.append(base + int(idx_gen.integers(0, c)))
         else:
             picks.append(base + c + int(idx_gen.integers(0, cfg.group_size - c)))
     return frozenset(picks), fell_back
+
+
+def _trip_streams(cfg: TripPlanConfig, seed: int, tag: int, count: int):
+    """For each sample s of a split, the (coin, index) generators of every
+    group g: the streams (tag, s, g, 0) and (tag, s, g, 1)."""
+    gens = streams(seed, [(tag, s, g, purpose) for s in range(count)
+                          for g in range(cfg.groups) for purpose in (0, 1)])
+    for _ in range(count):
+        yield [(next(gens), next(gens)) for _ in range(cfg.groups)]
 
 
 def gen_trip_samples(cfg: TripPlanConfig, seed: int) -> TripData:
@@ -203,7 +212,7 @@ def gen_trip_samples(cfg: TripPlanConfig, seed: int) -> TripData:
     degenerate = False
     splits = []
     for tag, count in ((_TRAIN, cfg.n_train), (_TEST, cfg.n_test)):
-        drawn = [_trip_sample(cfg, seed, tag, s) for s in range(count)]
+        drawn = [_trip_sample(cfg, groups) for groups in _trip_streams(cfg, seed, tag, count)]
         degenerate = degenerate or any(fb for _, fb in drawn)
         splits.append(tuple(sample for sample, _ in drawn))
     return TripData(cfg, seed, cfg.n_vertices, *splits, core, degenerate)

@@ -36,6 +36,7 @@ __all__ = [
     "load_chain",
     "load_chain_or_instance",
     "save_chain",
+    "check_writable",
     "result_csv",
     "write_result_csv",
 ]
@@ -98,6 +99,13 @@ def _write(path: str | Path, kind: str, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:  # a missing directory, or a directory given as the file
         raise InputError(f"cannot write {kind} {path}: {exc}") from None
+
+
+def check_writable(path: str | Path) -> None:
+    """Fail as ``_write`` would on a missing directory, or a directory given as
+    the file, without creating ``path``: a command checks OUT before it computes."""
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise InputError(f"cannot write {path}: not a file in an existing directory")
 
 
 def _hypergraph(doc: dict, where: str, weight) -> WeightedHypergraph:

@@ -449,6 +449,35 @@ def test_unwritable_out_is_an_input_error(tmp_path, monkeypatch, capsys, three_p
     assert err.startswith("input error: cannot write") and out in err
 
 
+# (argv before OUT, module attribute that does the computation)
+CHECKED_BEFORE_COMPUTING = {
+    "chain": (["chain", "inst.json"], "chaincover.cli.nested_chain"),
+    "experiment-trip": (["experiment", "trip", "--seeds", "0,1,2", "--out"],
+                        "chaincover.experiments.comparison_rows"),
+}
+
+
+@pytest.mark.parametrize("out", ["missing/out", "taken"], ids=["missing-dir", "dir-as-file"])
+@pytest.mark.parametrize("args, compute", list(CHECKED_BEFORE_COMPUTING.values()),
+                         ids=list(CHECKED_BEFORE_COMPUTING))
+def test_unwritable_out_is_reported_before_computing(tmp_path, monkeypatch, capsys,
+                                                     three_path_instance, args, compute, out):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("computed before checking OUT")
+
+    save_instance(tmp_path / "inst.json", three_path_instance)
+    (tmp_path / "taken").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(compute, fail)
+    monkeypatch.setattr(sys, "argv", ["chaincover", *args, out])
+    with pytest.raises(SystemExit) as stop:
+        main()
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot write") and out in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_import_loads_neither_numpy_nor_scipy():
     # the package and its file formats import without the solver's numeric stack
     code = (

@@ -1,5 +1,6 @@
 """Synthetic generators and the method-comparison harness."""
 
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ from chaincover.baselines import reverse_greedy
 from chaincover.chain import nested_chain
 from chaincover.compress import select
 from chaincover.hypergraph import InputError
+from chaincover.io import result_csv
 
 from conftest import child_env
 
@@ -296,3 +298,17 @@ def test_run_comparison_method_filter():
     assert [r.method for r in rows] == ["chain"]
     with pytest.raises(InputError):
         xp.run_comparison(5, TRAIN, TEST, [Fraction(1, 2)], ("chain", "pagerank"), 0)
+
+
+# sha256 of result_csv(comparison_rows(kind, [0, 1, 2], default_phi_grid())):
+# every draw of both generators at seeds 0-2 feeds these bytes
+CSV_SHA256 = {
+    "trip": "a6c7a487a0571d3f9c792792012eca5990fc233629debbc9ebcbb74b3719f0ea",
+    "grid": "3c8063e509ddfe1baec6a204b098f15407b64f1c2e25858e583ef903a190eb51",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_SHA256))
+def test_comparison_csv_pinned(kind):
+    csv = result_csv(xp.comparison_rows(kind, [0, 1, 2], xp.default_phi_grid()))
+    assert hashlib.sha256(csv.encode()).hexdigest() == CSV_SHA256[kind]

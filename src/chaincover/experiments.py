@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .baselines import forward_greedy, reverse_greedy
 from .chain import nested_chain
 from .compress import select
@@ -28,7 +30,7 @@ from .hypergraph import (
     unit_fraction,
 )
 from .io import ResultRow
-from .rng import stream, streams
+from .rng import _first_integers, _first_random, first_words, stream
 
 __all__ = [
     "GridRoutingConfig",
@@ -120,21 +122,19 @@ def _shortest_monotone_path(cfg: GridRoutingConfig, weights) -> frozenset[int]:
     return frozenset(best[(side - 1, side - 1)][1])
 
 
-def _grid_sample(cfg: GridRoutingConfig, seed: int, tag: int, index: int,
-                 bypass: frozenset[int]) -> frozenset[int]:
-    if stream(seed, tag, index, 0).random() < cfg.bypass_share:
-        return bypass
-    weights = stream(seed, tag, index, 1).uniform(
-        cfg.weight_low, cfg.weight_high, size=cfg.n_grid_edges
-    )
-    return _shortest_monotone_path(cfg, weights)
-
-
 def gen_grid_routes(cfg: GridRoutingConfig, seed: int) -> GridData:
+    """Route s of split tag takes the bypass when the first ``random()`` of
+    stream (tag, s, 0) falls below the bypass share, else the shortest path
+    under weights drawn from stream (tag, s, 1)."""
     bypass = frozenset(range(cfg.n_grid_edges, cfg.n_vertices))
-    train = tuple(_grid_sample(cfg, seed, _TRAIN, s, bypass) for s in range(cfg.n_train))
-    test = tuple(_grid_sample(cfg, seed, _TEST, s, bypass) for s in range(cfg.n_test))
-    return GridData(cfg, seed, cfg.n_vertices, train, test, bypass)
+    routes = [(_TRAIN, s) for s in range(cfg.n_train)] + [(_TEST, s) for s in range(cfg.n_test)]
+    coins = _first_random(first_words(seed, [(tag, s, 0) for tag, s in routes])).tolist()
+    drawn = tuple(
+        bypass if coin < cfg.bypass_share else _shortest_monotone_path(
+            cfg, stream(seed, tag, s, 1).uniform(cfg.weight_low, cfg.weight_high, size=cfg.n_grid_edges))
+        for (tag, s), coin in zip(routes, coins)
+    )
+    return GridData(cfg, seed, cfg.n_vertices, drawn[:cfg.n_train], drawn[cfg.n_train:], bypass)
 
 
 # ---------------------------------------------------------------- trip planning
@@ -179,43 +179,28 @@ class TripData:
     degenerate_complement: bool  # complement draws fell back to the core
 
 
-def _trip_sample(cfg: TripPlanConfig, groups) -> tuple[frozenset[int], bool]:
-    """One itinerary from each group's (coin, index) generators."""
-    p = cfg.per_group_core_prob
-    c = cfg.core_per_group
-    picks = []
-    fell_back = False
-    for g, (coin, idx_gen) in enumerate(groups):
-        base = g * cfg.group_size
-        take_core = coin.random() < p
-        if take_core or c == cfg.group_size:
-            fell_back = fell_back or (not take_core)
-            picks.append(base + int(idx_gen.integers(0, c)))
-        else:
-            picks.append(base + c + int(idx_gen.integers(0, cfg.group_size - c)))
-    return frozenset(picks), fell_back
-
-
-def _trip_streams(cfg: TripPlanConfig, seed: int, tag: int, count: int):
-    """For each sample s of a split, the (coin, index) generators of every
-    group g: the streams (tag, s, g, 0) and (tag, s, g, 1)."""
-    gens = streams(seed, [(tag, s, g, purpose) for s in range(count)
-                          for g in range(cfg.groups) for purpose in (0, 1)])
-    for _ in range(count):
-        yield [(next(gens), next(gens)) for _ in range(cfg.groups)]
-
-
 def gen_trip_samples(cfg: TripPlanConfig, seed: int) -> TripData:
-    core = frozenset(
-        g * cfg.group_size + a for g in range(cfg.groups) for a in range(cfg.core_per_group)
-    )
-    degenerate = False
-    splits = []
-    for tag, count in ((_TRAIN, cfg.n_train), (_TEST, cfg.n_test)):
-        drawn = [_trip_sample(cfg, groups) for groups in _trip_streams(cfg, seed, tag, count)]
-        degenerate = degenerate or any(fb for _, fb in drawn)
-        splits.append(tuple(sample for sample, _ in drawn))
-    return TripData(cfg, seed, cfg.n_vertices, *splits, core, degenerate)
+    """Sample s of split tag picks one activity in each group g.
+
+    The first ``random()`` of stream (tag, s, g, 0) below the per-group core
+    probability picks the group's core, else its rest; a group that is all
+    core picks the core either way, and the draw is flagged degenerate. The
+    first ``integers(0, k)`` of stream (tag, s, g, 1) then picks within that
+    part of k activities.
+    """
+    size, c = cfg.group_size, cfg.core_per_group
+    core = frozenset(g * size + a for g in range(cfg.groups) for a in range(c))
+    samples = [(_TRAIN, s) for s in range(cfg.n_train)] + [(_TEST, s) for s in range(cfg.n_test)]
+    paths = [(tag, s, g, purpose) for tag, s in samples for g in range(cfg.groups) for purpose in (0, 1)]
+    words = first_words(seed, paths)
+    take_core = _first_random(words[0::2]) < cfg.per_group_core_prob
+    in_core = take_core | (c == size)
+    index = _first_integers(words[1::2], np.where(in_core, c, size - c), seed, paths[1::2])
+    base = np.tile(np.arange(cfg.groups) * size, len(samples)) + np.where(in_core, 0, c)
+    picks = (base + index).reshape(len(samples), cfg.groups).tolist()
+    drawn = tuple(frozenset(row) for row in picks)
+    degenerate = bool((in_core & ~take_core).any())
+    return TripData(cfg, seed, cfg.n_vertices, drawn[:cfg.n_train], drawn[cfg.n_train:], core, degenerate)
 
 
 # ---------------------------------------------------------------- adversarial

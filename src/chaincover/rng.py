@@ -5,11 +5,15 @@ components name the purpose (split tag, sample index, group index, draw kind).
 Philox is counter-based, so distinct paths give independent streams and the
 same path always replays identically, independent of draw order elsewhere.
 
-``stream`` serves single uses.  Where many paths of one shape are drawn in
-turn, as the trip-planning generator does, ``streams(seed, paths)`` yields the
-same generators in path order: it derives every Philox key in one vectorized
-pass over the paths, reproducing ``SeedSequence``'s mixing, instead of one
-``SeedSequence`` per path.  The two give identical draws.
+``stream`` serves uses that read a generator more than once.  Where many paths
+of one shape each feed a single draw, as the trip-planning coins and indices
+and the grid bypass coins do, ``first_words(seed, paths)`` gives each path's
+first raw 64-bit word without building a generator: it derives every Philox
+key in one vectorized pass over the paths, reproducing ``SeedSequence``'s
+mixing, and runs Philox4x64-10 on the first counter for all keys at once
+(Salmon et al., SC 2011).  ``_first_random`` and ``_first_integers`` turn
+those words into the draws ``Generator.random()`` and
+``Generator.integers(0, k)`` would make first.  The results are identical.
 
 Integer draws that feed exact-uniformity claims go through ``randbelow``,
 which rejects on raw bits instead of trusting float rounding, and accepts
@@ -18,12 +22,11 @@ arbitrary-precision bounds.
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["stream", "streams", "randbelow", "choice_weighted"]
+__all__ = ["stream", "first_words", "randbelow", "choice_weighted"]
 
 # SeedSequence's constants (O'Neill 2015, as numpy implements it)
 _POOL = 4
@@ -31,30 +34,18 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _WORD = 2**32
+_LOW, _HALF = np.uint64(_WORD - 1), np.uint64(32)
+
+# Philox4x64-10's round multipliers and key bumps (Random123, as numpy implements
+# it), as columns: one row per multiplied counter word and per key word
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64)
+_PHILOX_ROUNDS = 10
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.Philox(seq))
-
-
-@cache
-def _key_sequence() -> type:
-    """A seed-sequence class whose only state is one precomputed Philox key.
-
-    Defined on first use: its base lives in numpy.random, which importing
-    this module would otherwise load before any stream is drawn.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Key(ISeedSequence):
-        def __init__(self, key: np.ndarray):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.key
-
-    return Key
 
 
 def _hasher(const: int, mult: int):
@@ -105,30 +96,82 @@ def _philox_keys(seed: int, parts: np.ndarray) -> np.ndarray:
     return out.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def streams(seed: int, paths: Iterable[Sequence[int]]) -> Iterator[np.random.Generator]:
-    """``stream(seed, *path)`` for each path in turn, keys derived in bulk.
+def _mulhilo(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products x * m, in uint64 from 32-bit halves."""
+    x_lo, x_hi = x & _LOW, x >> _HALF
+    m_lo, m_hi = m & _LOW, m >> _HALF
+    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_hi * m_lo, x_lo * m_hi
+    mid = (lo_lo >> _HALF) + (hi_lo & _LOW) + (lo_hi & _LOW)
+    hi = x_hi * m_hi + (hi_lo >> _HALF) + (lo_hi >> _HALF) + (mid >> _HALF)
+    return hi, x * m
 
-    The paths share one length, the first path's. Each generator is built
-    only when it is reached, so few are held at once. A path of another
-    length, or with a part outside [0, 2**32), goes through ``stream`` itself,
-    which also raises its error for a negative part or seed.
+
+def _philox_first(keys: np.ndarray) -> np.ndarray:
+    """Word 0 of Philox4x64-10's block at counter (1, 0, 0, 0) under each key.
+
+    A fresh numpy ``Philox`` steps its zero counter once before its first
+    block, so this is the first ``random_raw()`` of the generator keyed so.
+    Counter words 0 and 2, the two that are multiplied, travel as the rows
+    of one array, and the key words likewise.
     """
-    paths = [tuple(path) for path in paths]
-    length = len(paths[0]) if paths else 0
-    fast = [
-        isinstance(seed, int) and seed >= 0 and len(path) == length
-        and all(isinstance(p, int) and 0 <= p < _WORD for p in path)
-        for path in paths
-    ]
-    rows = [path for path, ok in zip(paths, fast) if ok]
-    keys = iter(_philox_keys(seed, np.array(rows, np.uint32).reshape(len(rows), length))
-                if rows else ())
-    key_sequence = _key_sequence()
-    for path, ok in zip(paths, fast):
-        if ok:
-            yield np.random.Generator(np.random.Philox(key_sequence(next(keys))))
-        else:
-            yield stream(seed, *path)
+    key = keys.T.copy()
+    even = np.zeros_like(key)
+    even[0] = 1
+    odd = np.zeros_like(key)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key += _PHILOX_W
+        hi, lo = _mulhilo(even, _PHILOX_M)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    return even[0]
+
+
+def first_words(seed: int, paths) -> np.ndarray:
+    """``stream(seed, *path).bit_generator.random_raw()`` for each path, as uint64.
+
+    When the paths are int sequences of one length and the seed is a
+    non-negative int, the paths whose parts lie in [0, 2**32) are computed
+    together. Every other path goes through ``stream`` itself, which also
+    raises its error for a negative part or seed.
+    """
+    try:
+        table = np.asarray(paths)
+    except ValueError:  # paths of several lengths
+        table = np.zeros(0)
+    bulk = np.zeros(len(paths), bool)
+    if isinstance(seed, int) and seed >= 0 and table.ndim == 2 and table.dtype.kind in "iu":
+        bulk = ((table >= 0) & (table < _WORD)).all(axis=1)
+    words = np.zeros(len(paths), np.uint64)
+    if bulk.any():
+        words[bulk] = _philox_first(_philox_keys(seed, table[bulk].astype(np.uint32)))
+    for i in np.flatnonzero(~bulk):
+        words[i] = stream(seed, *paths[i]).bit_generator.random_raw()
+    return words
+
+
+def _first_random(words: np.ndarray) -> np.ndarray:
+    """The first ``Generator.random()`` of each stream, from its first word."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _first_integers(words: np.ndarray, bounds, seed: int,
+                    paths: Sequence[Sequence[int]]) -> np.ndarray:
+    """The first ``stream(seed, *path).integers(0, k)`` of each path, from its
+    first word and bound k (one per path, or one for all).
+
+    numpy draws a bound of at most 2**32 by Lemire's method on the word's low
+    32 bits. A word that method would reject, and a bound outside [1, 2**32],
+    are handed to ``stream`` itself, so every draw, and every error, is numpy's.
+    """
+    bounds = np.broadcast_to(np.asarray(bounds, np.int64), words.shape)
+    redraw = (bounds < 1) | (bounds > _WORD)
+    k = np.where(redraw, 1, bounds).astype(np.uint64)
+    m = (words & _LOW) * k
+    redraw |= (m & _LOW) < (np.uint64(_WORD) - k) % k
+    out = (m >> _HALF).astype(np.int64)
+    for i in np.flatnonzero(redraw):
+        out[i] = stream(seed, *paths[i]).integers(0, int(bounds[i]))
+    return out
 
 
 def randbelow(gen: np.random.Generator, n: int) -> int:

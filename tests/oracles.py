@@ -20,6 +20,7 @@ import numpy as np
 
 from chaincover import NestedChain, Selection, WeightedHypergraph, as_fraction, fractional_solution
 from chaincover.compress import _check_kappa
+from chaincover.rng import stream
 
 
 @lru_cache(maxsize=None)
@@ -192,6 +193,38 @@ def containment_threshold_scan(
         if target <= select_fn(t):
             return t
     return None
+
+
+# ---------------------------------------------------------------- trip planning
+
+
+def trip_samples_reference(cfg, seed: int):
+    """(train, test, degenerate_complement) of the trip-planning generator,
+    one full ``rng.stream`` generator per group and purpose.
+
+    Sample s of split tag picks, in each group g, the core when the first
+    ``random()`` of stream (tag, s, g, 0) falls below the per-group core
+    probability or the group is all core, and then the first
+    ``integers(0, k)`` of stream (tag, s, g, 1) within the core or the rest.
+    """
+    p, c, size = cfg.per_group_core_prob, cfg.core_per_group, cfg.group_size
+    degenerate = False
+    splits = []
+    for tag, count in ((0, cfg.n_train), (1, cfg.n_test)):
+        samples = []
+        for s in range(count):
+            picks = []
+            for g in range(cfg.groups):
+                take_core = stream(seed, tag, s, g, 0).random() < p
+                index = stream(seed, tag, s, g, 1)
+                if take_core or c == size:
+                    degenerate = degenerate or not take_core
+                    picks.append(g * size + int(index.integers(0, c)))
+                else:
+                    picks.append(g * size + c + int(index.integers(0, size - c)))
+            samples.append(frozenset(picks))
+        splits.append(tuple(samples))
+    return splits[0], splits[1], degenerate
 
 
 # ---------------------------------------------------------------- samplers

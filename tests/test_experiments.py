@@ -15,6 +15,7 @@ from chaincover.hypergraph import InputError
 from chaincover.io import result_csv
 
 from conftest import child_env
+from oracles import trip_samples_reference
 
 
 def test_default_phi_grid():
@@ -182,6 +183,27 @@ def test_trip_core_mass_one_is_all_pure():
     data = xp.gen_trip_samples(cfg, 7)
     assert all(s <= data.core for s in data.train + data.test)
     assert data.degenerate_complement is False
+
+
+@pytest.mark.parametrize("config", [
+    {"core_density": 0.1}, {"core_density": 0.4}, {"core_density": 0.95},
+    {"core_density": 1.0}, {"core_mass": 1.0},
+], ids=["density-0.1", "density-0.4", "density-0.95", "density-1", "mass-1"])
+def test_trip_matches_per_generator_reference(config):
+    cfg = xp.TripPlanConfig(**config)
+    for seed in (0, 7, 2**32, 2**64 + 3):
+        data = xp.gen_trip_samples(cfg, seed)
+        assert (data.train, data.test, data.degenerate_complement) == trip_samples_reference(cfg, seed)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random, 15 ms to import, loads only once a stream is built
+    code = "import sys, chaincover.experiments\nprint('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- adversarial

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from chaincover.rng import choice_weighted, randbelow, stream, streams
+from chaincover.rng import _first_integers, _first_random, choice_weighted, first_words, randbelow, stream
 
 
 def bytes_randbelow(gen, n):
@@ -63,9 +63,10 @@ def test_choice_weighted_pinned():
     assert 1 not in draws
 
 
-# ---------------------------------------------------------------- streams
+# ---------------------------------------------------------------- first words
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 11]  # the last two span 3 and 5 words
+BOUNDS = list(range(1, 17)) + [2**40 + 3]  # the last one above numpy's 32-bit draw
 
 
 def _paths(seed: int, length: int) -> list[tuple[int, ...]]:
@@ -76,38 +77,60 @@ def _paths(seed: int, length: int) -> list[tuple[int, ...]]:
             for _ in range(100)]
 
 
-def _draws(gen: np.random.Generator, k: int) -> list:
-    return [gen.random(), int(gen.integers(0, k)),
-            gen.uniform(0.1, 2.0, size=3).tolist(), randbelow(gen, 2**40 + k)]
+def _cases():
+    """(seed, paths) for the 3,000 seeded paths of lengths 1 to 5."""
+    return [(seed, _paths(seed, length)) for seed in SEEDS for length in range(1, 6)]
 
 
-def _key(gen: np.random.Generator) -> list[int]:
-    return gen.bit_generator.state["state"]["key"].tolist()
+def _raw(seed: int, path) -> int:
+    return stream(seed, *path).bit_generator.random_raw()
 
 
 def test_streams_match_stream():
+    # first_words reads each stream's first raw word without building it
     cases = 0
-    for seed in SEEDS:
-        for length in range(1, 6):
-            paths = _paths(seed, length)
-            for k, (path, gen) in enumerate(zip(paths, streams(seed, paths)), start=1):
-                ref = stream(seed, *path)
-                assert _key(gen) == _key(ref), (seed, path)
-                assert _draws(gen, k) == _draws(ref, k), (seed, path)
-                cases += 1
+    for seed, paths in _cases():
+        words = first_words(seed, paths)
+        assert words.dtype == np.uint64
+        for path, word in zip(paths, words.tolist()):
+            assert word == _raw(seed, path), (seed, path)
+            cases += 1
     assert cases == 3000
 
 
+def test_first_draws_match_stream():
+    for seed, paths in _cases():
+        words = first_words(seed, paths)
+        assert _first_random(words).tolist() == [stream(seed, *path).random() for path in paths]
+        for k in BOUNDS:
+            assert _first_integers(words, k, seed, paths).tolist() == [
+                int(stream(seed, *path).integers(0, k)) for path in paths
+            ], (seed, k)
+
+
+def test_first_integers_redraws_what_lemire_rejects():
+    # a low half of 0 leaves 0 < (2**32 - 6) % 6 = 4, which numpy's draw rejects
+    seed, paths = 5, [(0, 1), (0, 2), (3, 4)]
+    words = first_words(seed, paths)
+    words[1] = np.uint64(0xABCD_0000_0000)
+    ours = _first_integers(words, np.array([6, 6, 6]), seed, paths).tolist()
+    assert ours == [int(stream(seed, *path).integers(0, 6)) for path in paths]
+    with pytest.raises(ValueError) as ref:
+        stream(seed, *paths[0]).integers(0, 0)
+    with pytest.raises(ValueError, match=re.escape(str(ref.value))):
+        _first_integers(words, 0, seed, paths)
+
+
 def test_streams_hand_out_of_range_parts_to_stream():
-    # the first path sets the length; a path of another length goes to stream too
+    # paths of several lengths, or parts beyond a word, go to stream
     paths = [(3, 0), (2**32, 1), (1, 2**40), (0, 2**64 + 1), (2**32 - 1, 5), (4,), ()]
     for seed in (0, 2**32 + 5):
-        gens = list(streams(seed, paths))
-        assert len(gens) == len(paths)
-        for path, gen in zip(paths, gens):
-            ref = stream(seed, *path)
-            assert _key(gen) == _key(ref)
-            assert _draws(gen, 7) == _draws(ref, 7)
+        words = first_words(seed, paths)
+        assert words.tolist() == [_raw(seed, path) for path in paths]
+        assert _first_integers(words, 7, seed, paths).tolist() == [
+            int(stream(seed, *path).integers(0, 7)) for path in paths
+        ]
+    assert first_words(4, []).tolist() == []
 
 
 @pytest.mark.parametrize("seed, path", [(4, (-1,)), (4, (2, -2**40)), (-3, (1,))],
@@ -115,21 +138,5 @@ def test_streams_hand_out_of_range_parts_to_stream():
 def test_streams_raise_streams_error_on_negatives(seed, path):
     with pytest.raises(ValueError) as ref:
         stream(seed, *path)
-    gens = streams(seed, [(0,), path])
-    if seed >= 0:
-        assert _key(next(gens)) == _key(stream(seed, 0))
     with pytest.raises(type(ref.value), match=re.escape(str(ref.value))):
-        list(gens)
-
-
-def test_streams_are_independent():
-    paths = [(0, s, g) for s in range(3) for g in range(2)]
-    gens = streams(9, paths)
-    first = next(gens)
-    first.random(size=1000)
-    held = [next(gens) for _ in paths[1:3]]
-    first.random(size=1000)
-    held[0].integers(0, 10, size=50)
-    assert held[1].random() == stream(9, *paths[2]).random()
-    for path, gen in zip(paths[3:], gens):
-        assert gen.random() == stream(9, *path).random()
+        first_words(seed, [(0,), path])

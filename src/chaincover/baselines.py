@@ -1,68 +1,63 @@
-"""Frequency-greedy baselines for vertex-set coverage.
+"""Frequency-greedy baselines: two prefix families of one vertex order each.
 
-Forward greedy adds vertices in descending training frequency (ties by
-ascending id) until the evaluation coverage target is met.  Reverse greedy
-peels the vertex lying on the fewest surviving training hyperedges (ties by
-descending id) and, per target, keeps the longest-peeled state that still
-meets it.  Both are prefix families of a single order, hence nested across
-targets.
+Per target phi, each takes the shortest prefix of its order covering
+ceil(phi * m) of the m evaluation samples, else the whole order
+(``hypergraph.shortest_prefix``), so it is nested across targets.  Forward
+greedy orders the training vertices by descending frequency (ties by
+ascending id).  Reverse greedy peels [0, n), each time the vertex on the
+fewest surviving training samples (ties by descending id; Charikar, APPROX
+2000), and orders by reversed deletion: a prefix is a peel state.  Both
+return ``(results, order)``; reverse greedy's order is its deletion order.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .hypergraph import InputError, as_fraction, prefix_cover_counts
+from .hypergraph import InputError, prefix_cover_counts, shortest_prefix, unit_fraction
 
-__all__ = ["GreedyResult", "GreedyTrace", "forward_greedy", "reverse_greedy"]
+__all__ = ["GreedyResult", "forward_greedy", "reverse_greedy"]
 
 
-@dataclass(frozen=True)
-class GreedyResult:
+class GreedyResult(NamedTuple):
+    """A selected prefix and its coverage on the evaluation samples."""
+
     vertex_set: frozenset[int]
     coverage: Fraction
-    reached: bool  # False when the target was unattainable for this selector
 
 
-@dataclass(frozen=True)
-class GreedyTrace:
-    """Vertex decision order with evaluation coverage after each step."""
+def _normalize(train: Iterable, eval_samples: Iterable) -> tuple[list[frozenset[int]], ...]:
+    eval_samples = [frozenset(s) for s in eval_samples]
+    if not eval_samples:
+        raise InputError("evaluation sample set must be nonempty")
+    return [frozenset(s) for s in train], eval_samples
 
-    order: tuple[int, ...]
-    coverages: tuple[Fraction, ...]
 
-
-def _normalize(samples: Iterable) -> list[frozenset[int]]:
-    return [frozenset(s) for s in samples]
+def _prefix_results(
+    order: Sequence[int], eval_samples: Sequence[frozenset[int]], targets: Sequence
+) -> dict[Fraction, GreedyResult]:
+    counts = prefix_cover_counts(order, eval_samples)
+    m = len(eval_samples)
+    results: dict[Fraction, GreedyResult] = {}
+    for raw in targets:
+        phi = unit_fraction(raw, "phi")
+        k = shortest_prefix(counts, math.ceil(phi * m))
+        results[phi] = GreedyResult(frozenset(order[:k]), Fraction(counts[k], m))
+    return results
 
 
 def forward_greedy(
     train: Sequence[frozenset[int]],
     eval_samples: Sequence[frozenset[int]],
     targets: Sequence,
-) -> tuple[dict[Fraction, GreedyResult], GreedyTrace]:
-    train = _normalize(train)
-    eval_samples = _normalize(eval_samples)
-    if not eval_samples:
-        raise InputError("evaluation sample set must be nonempty")
+) -> tuple[dict[Fraction, GreedyResult], tuple[int, ...]]:
+    train, eval_samples = _normalize(train, eval_samples)
     freq = Counter(v for s in train for v in s)
-    order = sorted(freq, key=lambda v: (-freq[v], v))
-    counts = prefix_cover_counts(order, eval_samples)
-    coverages = [Fraction(c, len(eval_samples)) for c in counts]
-    results: dict[Fraction, GreedyResult] = {}
-    for raw in targets:
-        phi = as_fraction(raw)
-        hit = bisect_left(counts, math.ceil(phi * len(eval_samples)))
-        if hit > len(order):
-            results[phi] = GreedyResult(frozenset(order), coverages[-1], False)
-        else:
-            results[phi] = GreedyResult(frozenset(order[:hit]), coverages[hit], True)
-    return results, GreedyTrace(tuple(order), tuple(coverages[1:]))
+    order = tuple(sorted(freq, key=lambda v: (-freq[v], v)))
+    return _prefix_results(order, eval_samples, targets), order
 
 
 def reverse_greedy(
@@ -70,12 +65,8 @@ def reverse_greedy(
     eval_samples: Sequence[frozenset[int]],
     targets: Sequence,
     n_vertices: int,
-) -> tuple[dict[Fraction, GreedyResult], GreedyTrace]:
-    train = _normalize(train)
-    eval_samples = _normalize(eval_samples)
-    if not eval_samples:
-        raise InputError("evaluation sample set must be nonempty")
-    alive = list(train)
+) -> tuple[dict[Fraction, GreedyResult], tuple[int, ...]]:
+    alive, eval_samples = _normalize(train, eval_samples)
     current = set(range(n_vertices))
     intensity = Counter(v for s in alive for v in s)
     deletion: list[int] = []
@@ -91,16 +82,4 @@ def reverse_greedy(
             else:
                 kept.append(s)
         alive = kept
-    # the state after i deletions is the prefix of length n_vertices - i of
-    # the reversed deletion order
-    counts = prefix_cover_counts(deletion[::-1], eval_samples)
-    coverages = [Fraction(c, len(eval_samples)) for c in reversed(counts)]
-    results: dict[Fraction, GreedyResult] = {}
-    for raw in targets:
-        phi = as_fraction(raw)
-        # keep the deepest peel state that still meets the target
-        shortest = bisect_left(counts, math.ceil(phi * len(eval_samples)))
-        depth = max(n_vertices - shortest, 0)
-        survivors = frozenset(range(n_vertices)) - frozenset(deletion[:depth])
-        results[phi] = GreedyResult(survivors, coverages[depth], shortest <= n_vertices)
-    return results, GreedyTrace(tuple(deletion), tuple(coverages[1:]))
+    return _prefix_results(deletion[::-1], eval_samples, targets), tuple(deletion)

@@ -7,7 +7,8 @@ Stage 2 scores each remaining calibration pair by the smallest coverage
 target tau (a fraction of the family's mass) whose chain selection contains
 the truth (1 when the truth lies farther than d* from the prediction), and
 takes a conformal quantile tau* of those scores; when the quantile index
-exceeds the number of scores, tau* is 1 by overflow.  Prediction then runs
+exceeds the number of scores, tau* is 1 by overflow, and when it is 0 (at
+phi = 0) no score is needed and tau* is 0.  Prediction then runs
 the chain selector at tau*.
 
 Also provides the fixed-context fitter: split the samples in half, build the
@@ -18,7 +19,6 @@ order meeting a conformal covered-count level on the second half.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +33,7 @@ from .hypergraph import (
     check_vertex_ids,
     prefix_cover_counts,
     rational_to_text as text,
+    shortest_prefix,
     unit_fraction,
 )
 
@@ -124,11 +125,10 @@ def calibrate_stage2(
         if family not in chains:
             chains[family] = nested_chain(family)
         etas.append(EtaScore(tau_threshold(chains[family], pair.truth, kappa), False))
-    if not etas:
-        return Fraction(1), ()
-    ordered = sorted(e.value for e in etas)
-    idx = quantile_index(phi, len(ordered))
-    tau_star = Fraction(1) if idx > len(ordered) else ordered[idx - 1]
+    # 1-based order statistics; index 0 (phi = 0) needs no score and gives 0
+    ordered = [Fraction(0)] + sorted(e.value for e in etas)
+    idx = quantile_index(phi, len(etas))
+    tau_star = Fraction(1) if idx > len(etas) else ordered[idx]
     return tau_star, tuple(etas)
 
 
@@ -188,8 +188,8 @@ def fixed_context_fit(
     still-uncovered first-half samples they complete, ties by ascending id;
     vertices outside the top set appended in ascending id).  The returned set
     is the shortest prefix whose second-half covered count reaches
-    ceil(phi * (T2 + 1)); if that level exceeds T2 the full vertex set is
-    returned.  Coverage of the prefix family is monotone, so this matches
+    ceil(phi * (T2 + 1)); if that level exceeds T2 no prefix reaches it and
+    the whole order, the full vertex set, is returned.  Coverage of the prefix family is monotone, so this matches
     top-down deletion that stops when the level would be violated.
     """
     phi = unit_fraction(phi, "phi")
@@ -204,11 +204,8 @@ def fixed_context_fit(
     chain = nested_chain(h1)
     order = _fixed_order(chain, first, n_vertices)
     level = quantile_index(phi, len(second))
-    if level > len(second):
-        full = frozenset(range(n_vertices))
-        return FixedContextFit(full, order, n_vertices, level, Fraction(1), chain)
     counts = prefix_cover_counts(order, second)
-    prefix_len = bisect_left(counts, level)
+    prefix_len = shortest_prefix(counts, level)
     return FixedContextFit(
         frozenset(order[:prefix_len]), order, prefix_len, level,
         Fraction(counts[prefix_len], len(second)), chain,

@@ -10,16 +10,15 @@ the same seed is bit-identical and train/test splits never share a stream.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .baselines import forward_greedy, reverse_greedy
+from .baselines import GreedyResult, forward_greedy, reverse_greedy
 from .chain import nested_chain
-from .compress import select
+from .compress import _check_kappa, select
 from .hypergraph import (
     InputError,
     InvariantError,
@@ -27,6 +26,7 @@ from .hypergraph import (
     as_fraction,
     prefix_cover_counts,
     rational_to_text as text,
+    shortest_prefix,
     unit_fraction,
 )
 from .io import ResultRow
@@ -231,7 +231,7 @@ def chain_cover(
     train: Sequence[frozenset[int]],
     test: Sequence[frozenset[int]],
     phi_grid: Sequence,
-) -> dict[Fraction, tuple[frozenset[int], Fraction]]:
+) -> dict[Fraction, GreedyResult]:
     """Smallest chain set reaching each target coverage on the held-out samples.
 
     The chain is fit on the training multiset; if even its top set
@@ -245,14 +245,12 @@ def chain_cover(
     order = [v for lo, hi in zip((frozenset(),) + ch.sets, ch.sets) for v in sorted(hi - lo)]
     order += sorted(set(range(n)) - ch.sets[-1])
     counts = prefix_cover_counts(order, test)
-    out: dict[Fraction, tuple[frozenset[int], Fraction]] = {}
+    out: dict[Fraction, GreedyResult] = {}
     for raw in phi_grid:
         phi = unit_fraction(raw, "phi")
-        shortest = bisect_left(counts, math.ceil(phi * len(test)))
-        k = next((k for k in ch.sets if len(k) >= shortest), None)
-        if k is None:
-            k = frozenset(order[: min(shortest, n)])
-        out[phi] = (k, Fraction(counts[len(k)], len(test)))
+        k = shortest_prefix(counts, math.ceil(phi * len(test)))  # rounded up to a chain set
+        k = next((len(s) for s in ch.sets if len(s) >= k), k)
+        out[phi] = GreedyResult(frozenset(order[:k]), Fraction(counts[k], len(test)))
     return out
 
 
@@ -265,22 +263,19 @@ def run_comparison(
     seed: int,
 ) -> list[ResultRow]:
     phis = [as_fraction(p) for p in phi_grid]
-    known = {"chain", "forward_greedy", "reverse_greedy"}
-    bad = set(methods) - known
+    selectors = {
+        "chain": lambda: chain_cover(n, train, test, phis),
+        "forward_greedy": lambda: forward_greedy(train, test, phis)[0],
+        "reverse_greedy": lambda: reverse_greedy(train, test, phis, n)[0],
+    }
+    bad = set(methods) - selectors.keys()
     if bad:
-        raise InputError(f"unknown methods {sorted(bad)}; pick from {sorted(known)}")
-    rows: list[ResultRow] = []
-    if "chain" in methods:
-        for phi, (k, cov) in chain_cover(n, train, test, phis).items():
-            rows.append(ResultRow("chain", phi, len(k), cov, seed))
-    if "forward_greedy" in methods:
-        results, _ = forward_greedy(train, test, phis)
-        for phi, res in results.items():
-            rows.append(ResultRow("forward_greedy", phi, len(res.vertex_set), res.coverage, seed))
-    if "reverse_greedy" in methods:
-        results, _ = reverse_greedy(train, test, phis, n)
-        for phi, res in results.items():
-            rows.append(ResultRow("reverse_greedy", phi, len(res.vertex_set), res.coverage, seed))
+        raise InputError(f"unknown methods {sorted(bad)}; pick from {sorted(selectors)}")
+    rows = [
+        ResultRow(method, phi, len(res.vertex_set), res.coverage, seed)
+        for method, results in selectors.items() if method in methods
+        for phi, res in results().items()
+    ]
     rows.sort(key=lambda r: (r.method, r.phi, r.seed))
     return rows
 
@@ -314,11 +309,19 @@ def comparison_rows(kind: str, seeds: Sequence[int], phi_grid: Sequence,
 def adversarial_rows(a: int, b: int, eps, kappa, seeds: Sequence[int]) -> list[ResultRow]:
     """Chain selector vs reverse greedy on ``gen_adversarial(a, b, eps)`` at tau = 1 - eps.
 
-    Raises InvariantError unless the chain keeps exactly the b singletons and
-    reverse greedy keeps at least the a path vertices.
+    Raises InputError, before any chain is built, unless b*eps < a*(1-eps)
+    (the singletons form the chain's first level) and (1+kappa)*eps < 1 (the
+    bound at tau rules out the empty set); then InvariantError unless the
+    chain keeps exactly the b singletons and reverse greedy at least the a
+    path vertices.
     """
-    eps, kappa = as_fraction(eps), as_fraction(kappa)
+    eps, kappa = as_fraction(eps), _check_kappa(kappa)
     h = gen_adversarial(a, b, eps)
+    if not (b * eps < a * (1 - eps) and (1 + kappa) * eps < 1):
+        raise InputError(
+            "adversarial separation needs b*eps < a*(1-eps) and (1+kappa)*eps < 1, "
+            f"got a={a}, b={b}, eps={text(eps)}, kappa={text(kappa)}"
+        )
     tau = 1 - eps
     chain = nested_chain(h)
     sel = select(chain, tau, kappa)
@@ -327,7 +330,7 @@ def adversarial_rows(a: int, b: int, eps, kappa, seeds: Sequence[int]) -> list[R
     # it keeps the deepest peel state whose survivors hold tau of the mass
     need = tau * h.total_weight
     rev = frozenset(range(h.n))
-    for v in reverse_greedy(samples, samples, [], h.n)[1].order:
+    for v in reverse_greedy(samples, samples, [], h.n)[1]:
         if h.induced_weight(rev - {v}) < need:
             break
         rev -= {v}

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -26,6 +27,7 @@ __all__ = [
     "prefix_cover_counts",
     "rational_from_text",
     "rational_to_text",
+    "shortest_prefix",
     "unit_fraction",
 ]
 
@@ -163,9 +165,7 @@ def prefix_cover_counts(order: Sequence[int], samples: Iterable[Iterable[int]]) 
     """counts[i] = number of samples inside order[:i], for i = 0..len(order).
 
     ``order`` lists distinct vertices; a sample with a vertex outside it is
-    never counted.  The list never decreases, so ``bisect_left(counts, need)``
-    is the shortest prefix covering ``need`` samples (len(order) + 1 if none).
-    O(sum |s| + len(order)).
+    never counted.  The list never decreases.  O(sum |s| + len(order)).
     """
     pos = {v: i for i, v in enumerate(order, 1)}
     completed = [0] * (len(order) + 1)
@@ -175,3 +175,9 @@ def prefix_cover_counts(order: Sequence[int], samples: Iterable[Iterable[int]]) 
         except KeyError:
             continue
     return list(accumulate(completed))
+
+
+def shortest_prefix(counts: Sequence[int], need: int) -> int:
+    """Shortest prefix whose ``prefix_cover_counts`` entry reaches ``need``,
+    else the whole order: the set rule of every vertex-order selector."""
+    return min(bisect_left(counts, need), len(counts) - 1)

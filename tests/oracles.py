@@ -14,6 +14,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -183,6 +184,82 @@ def fixed_order_reference(
             uncovered = [s for s in uncovered if not s <= placed]
     order.extend(sorted(set(range(n_vertices)) - placed))
     return tuple(order)
+
+
+# ---------------------------------------------------------------- vertex-order selectors
+
+
+def covered(samples: Iterable[frozenset[int]], kept: Iterable[int]) -> int:
+    """Number of samples lying inside ``kept``."""
+    kept = frozenset(kept)
+    return sum(1 for s in samples if s <= kept)
+
+
+def _unit_chain(n: int, samples: Sequence[frozenset[int]]) -> list[frozenset[int]]:
+    """Chain sets of the unit-weight hypergraph on ``samples``, by exhaustive search."""
+    return chain_oracle(WeightedHypergraph.build(n, [(s, 1) for s in samples]))[0]
+
+
+def selector_reference(
+    n: int, train: Sequence[frozenset[int]], test: Sequence[frozenset[int]], phis: Sequence[Fraction]
+) -> dict[tuple[str, Fraction], tuple[frozenset[int], Fraction]]:
+    """(method, phi) -> (vertex set, test coverage) of the three compared methods.
+
+    Each set is recounted from the samples against the need ceil(phi * m):
+    - chain: the smallest exhaustive-search chain set meeting it; if none
+      does, the top set grown by the remaining vertices in ascending id
+      until it does (or none remain);
+    - forward greedy: the shortest run of training vertices, by descending
+      frequency and then ascending id, meeting it (all of them if none does);
+    - reverse greedy: peel [0, n) one vertex at a time, each time the vertex
+      on the fewest training samples still inside the kept set (ties by
+      descending id), and keep the deepest state meeting it (no peel if
+      none does).
+    """
+    m = len(test)
+    chain = _unit_chain(n, train)
+    freq = {v: sum(1 for s in train if v in s) for v in set().union(*train)}
+    forward = sorted(freq, key=lambda v: (-freq[v], v))
+    peel = [frozenset(range(n))]
+    while peel[-1]:
+        kept = peel[-1]
+        v = min(kept, key=lambda u: (sum(1 for s in train if u in s and s <= kept), -u))
+        peel.append(kept - {v})
+    out = {}
+    for phi in phis:
+        need = math.ceil(phi * m)
+        grown = next((s for s in chain if covered(test, s) >= need), None)
+        if grown is None:
+            grown = chain[-1]
+            for v in sorted(set(range(n)) - grown):
+                if covered(test, grown) >= need:
+                    break
+                grown |= {v}
+        hit = next((i for i in range(len(forward) + 1) if covered(test, forward[:i]) >= need),
+                   len(forward))
+        depth = max((i for i, s in enumerate(peel) if covered(test, s) >= need), default=0)
+        for method, kept in (("chain", grown), ("forward_greedy", frozenset(forward[:hit])),
+                             ("reverse_greedy", peel[depth])):
+            out[(method, phi)] = (kept, Fraction(covered(test, kept), m))
+    return out
+
+
+def fixed_fit_reference(
+    samples: Sequence[frozenset[int]], phi: Fraction, n: int
+) -> tuple[frozenset[int], int, int, Fraction]:
+    """(vertex set, prefix length, level, second-half coverage) of the fixed-context fit.
+
+    The order is ``fixed_order_reference`` on the exhaustive-search chain of
+    the first half; the level is ceil(phi * (T2 + 1)); the prefix is the
+    shortest one whose recounted second-half coverage reaches the level, or
+    the whole order when none does.
+    """
+    first, second = samples[: len(samples) // 2], samples[len(samples) // 2:]
+    order = fixed_order_reference(SimpleNamespace(sets=_unit_chain(n, first)), first, n)
+    level = math.ceil(phi * (len(second) + 1))
+    length = next((i for i in range(n + 1) if covered(second, order[:i]) >= level), n)
+    kept = frozenset(order[:length])
+    return kept, length, level, Fraction(covered(second, kept), len(second))
 
 
 def containment_threshold_scan(

@@ -1,53 +1,64 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from chaincover import InputError, forward_greedy, reverse_greedy
+from chaincover.hypergraph import prefix_cover_counts
 from chaincover.rng import stream
 
 P1, P2, P3 = frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5, 6})
 TRAIN = [P1] * 3 + [P2] * 3 + [P3] * 4
 
 
+def _reached(result, phi, m):
+    return result.coverage >= Fraction(math.ceil(phi * m), m)
+
+
 def test_forward_order_and_coverages_frozen():
-    results, trace = forward_greedy(TRAIN, TRAIN, ["0.6", "0.7", "0.8"])
-    assert trace.order == (4, 5, 6, 0, 1, 2, 3)
-    assert trace.coverages == (
-        Fraction(0), Fraction(0), Fraction(2, 5), Fraction(2, 5),
-        Fraction(7, 10), Fraction(7, 10), Fraction(1),
-    )
+    results, order = forward_greedy(TRAIN, TRAIN, ["0.6", "0.7", "0.8"])
+    assert order == (4, 5, 6, 0, 1, 2, 3)
+    assert prefix_cover_counts(order, TRAIN) == [0, 0, 0, 4, 4, 7, 7, 10]
     assert results[Fraction(3, 5)].vertex_set == frozenset({4, 5, 6, 0, 1})
     assert results[Fraction(3, 5)].coverage == Fraction(7, 10)
     assert results[Fraction(7, 10)].vertex_set == frozenset({4, 5, 6, 0, 1})
     assert results[Fraction(4, 5)].vertex_set == frozenset(range(7))
-    assert all(r.reached for r in results.values())
+    assert all(_reached(r, phi, len(TRAIN)) for phi, r in results.items())
 
 
 def test_forward_unreachable_target():
     eval_samples = TRAIN + [frozenset({7})]
     results, _ = forward_greedy(TRAIN, eval_samples, [1])
-    assert not results[Fraction(1)].reached
+    assert not _reached(results[Fraction(1)], 1, len(eval_samples))
     assert results[Fraction(1)].vertex_set == frozenset(range(7))
     assert results[Fraction(1)].coverage == Fraction(10, 11)
 
 
 def test_reverse_peel_frozen():
-    results, trace = reverse_greedy(TRAIN, TRAIN, ["0.4", "0.7", "1"], 8)
-    assert trace.order == (7, 3, 2, 1, 0, 6, 5, 4)
+    results, order = reverse_greedy(TRAIN, TRAIN, ["0.4", "0.7", "1"], 8)
+    assert order == (7, 3, 2, 1, 0, 6, 5, 4)
     assert results[Fraction(7, 10)].vertex_set == frozenset({0, 1, 4, 5, 6})
     assert results[Fraction(7, 10)].coverage == Fraction(7, 10)
     assert results[Fraction(2, 5)].vertex_set == frozenset({4, 5, 6})
     assert results[Fraction(1)].vertex_set == frozenset(range(7))
     assert results[Fraction(1)].coverage == 1
-    assert all(r.reached for r in results.values())
+    assert all(_reached(r, phi, len(TRAIN)) for phi, r in results.items())
 
 
 def test_reverse_unreachable_target():
     # a sample outside the vertex range is never covered, even unpeeled
     eval_samples = TRAIN + [frozenset({9})]
     results, _ = reverse_greedy(TRAIN, eval_samples, [1], 8)
-    assert not results[Fraction(1)].reached
+    assert not _reached(results[Fraction(1)], 1, len(eval_samples))
     assert results[Fraction(1)].vertex_set == frozenset(range(8))
+
+
+@pytest.mark.parametrize("phi", [Fraction(3, 2), Fraction(-1, 10), "3/2", "-0.1"])
+def test_phi_outside_unit_interval_rejected(phi):
+    with pytest.raises(InputError, match="phi must lie in"):
+        forward_greedy(TRAIN, TRAIN, [phi])
+    with pytest.raises(InputError, match="phi must lie in"):
+        reverse_greedy(TRAIN, TRAIN, [phi], 8)
 
 
 def test_empty_eval_rejected():
@@ -71,14 +82,14 @@ def test_both_selectors_nested_across_targets(seed):
     eval_samples = _random_samples(6500 + seed, 20, 8)
     targets = [Fraction(j, 10) for j in range(11)]
     for fn, extra in ((forward_greedy, ()), (reverse_greedy, (8,))):
-        results, _ = fn(train, eval_samples, targets, *extra)
+        results, order = fn(train, eval_samples, targets, *extra)
         sets = [results[t].vertex_set for t in targets]
         for a, b in zip(sets, sets[1:]):
             assert a <= b
         for t in targets:
             r = results[t]
-            if r.reached:
-                assert r.coverage >= t
+            # short of the target only where the whole order falls short
+            assert r.coverage >= t or r.vertex_set == frozenset(order)
 
 
 def test_deterministic_given_inputs():

@@ -323,16 +323,44 @@ def test_exit_code_one_on_bad_tau(tmp_path, three_path_instance):
     assert "input error" in proc.stderr
 
 
-def test_exit_code_two_on_violated_invariant(tmp_path):
-    # eps >= 1/2 with kappa=1 lets the empty set certify, so the chain
-    # selector keeps 0 vertices instead of the b singletons
-    proc = _run(
-        ["experiment", "adversarial", "--out", "adv.csv",
-         "--path-len", "5", "--parallel", "2", "--eps", "3/5"],
-        cwd=tmp_path,
+def test_exit_code_two_on_violated_invariant(tmp_path, monkeypatch, capsys):
+    # inside its regime the separation holds, so a selector run at tau = 0,
+    # which keeps the empty set, stands in for a broken one: the post-hoc
+    # check must catch it
+    import chaincover.experiments as xp
+
+    real_select = xp.select
+    monkeypatch.setattr(xp, "select", lambda chain, tau, kappa: real_select(chain, 0, kappa))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["chaincover", "experiment", "adversarial", "--out", "adv.csv",
+                                      "--path-len", "5", "--parallel", "2", "--eps", "1/4"])
+    with pytest.raises(SystemExit) as stop:
+        main()
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == "invariant violated: chain selector kept 0 vertices, wanted 2\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["--eps", "0.5"],
+    ["--eps", "0.3", "--kappa", "3"],
+    ["--path-len", "30", "--eps", "0.95", "--kappa", "0.01"],
+    ["--eps", "1/4", "--kappa", "3"],  # (1 + kappa) * eps = 1 exactly
+], ids=["eps-half", "kappa-3", "path-too-light", "kappa-boundary"])
+def test_adversarial_outside_its_regime_is_an_input_error(tmp_path, args):
+    proc = _run(["experiment", "adversarial", "--out", "adv.csv", *args], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("input error: adversarial separation needs")
+    assert not (tmp_path / "adv.csv").exists()
+
+
+def test_adversarial_default_run_unchanged(tmp_path):
+    proc = _run(["experiment", "adversarial", "--out", "adv.csv", "--seeds", "0"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "adv.csv").read_text() == (
+        "method,phi,size,coverage,seed\n"
+        "chain,0.8,3,0.8,0\n"
+        "reverse_greedy,0.8,33,1,0\n"
     )
-    assert proc.returncode == 2
-    assert "invariant violated" in proc.stderr
 
 
 def test_env_seed_default(tmp_path):

@@ -105,6 +105,17 @@ def test_stage2_scores_frozen():
     assert calibrate_stage2(pairs, math.inf, Fraction(9, 10), 1)[0] == 1
 
 
+def test_stage2_tau_star_monotone_in_phi():
+    # scores 1/2, 1/2, 1/2, 5/6, 1; index 0 (phi = 0) needs no score
+    pairs = [_pair({0, 1}, {0, 1}), _pair({2, 3}, {2, 3}), _pair({4, 5, 6}, {4, 5, 6}),
+             _pair({0, 1}, {0, 1}), _pair({7}, {7})]
+    phis = [Fraction(0), Fraction(1, 100), Fraction(1, 6), Fraction(1, 2), Fraction(1)]
+    taus = [calibrate_stage2(pairs, math.inf, phi, 1)[0] for phi in phis]
+    assert taus == [0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 1]
+    assert taus == sorted(taus)
+    assert calibrate_stage2([], math.inf, 0, 1) == (0, ())
+
+
 def test_stage2_censors_distant_truths():
     pairs = [_pair({0, 1}, {0, 1}), _pair({0, 1}, {2, 3})]
     _, etas = calibrate_stage2(pairs, 0, Fraction(1, 2), 1)

@@ -257,6 +257,22 @@ def test_adversarial_chain_vs_reverse_greedy():
     assert kept.coverage == 1
 
 
+@pytest.mark.parametrize("a, b, eps, kappa", [
+    (5, 2, Fraction(1, 4), 3),                # (1 + kappa) * eps = 1
+    (5, 2, Fraction(5, 7), Fraction(1, 10)),  # b * eps = a * (1 - eps)
+    (30, 3, Fraction(19, 20), Fraction(1, 100)),
+])
+def test_adversarial_rows_outside_the_regime_build_no_chain(monkeypatch, a, b, eps, kappa):
+    monkeypatch.setattr(xp, "nested_chain", lambda h: pytest.fail("chain built"))
+    with pytest.raises(InputError, match=r"needs b\*eps < a\*\(1-eps\) and \(1\+kappa\)\*eps < 1"):
+        xp.adversarial_rows(a, b, eps, kappa, [0])
+
+
+def test_adversarial_rows_just_inside_the_regime():
+    rows = xp.adversarial_rows(5, 2, Fraction(2, 3), Fraction(1, 10), [0])
+    assert [(r.method, r.size) for r in rows] == [("chain", 2), ("reverse_greedy", 5)]
+
+
 def test_adversarial_rows_do_not_grow_with_the_common_denominator():
     # D = 1000000007: a sweep that lists edges by their integer masses would
     # need about 3e9 entries; the child's address space is capped at 1 GiB

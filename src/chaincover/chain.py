@@ -4,10 +4,13 @@ As lam sweeps upward, the inclusion-minimal minimizer of Phi(K, lam) =
 |K| - lam * e(K) moves through a strictly nested family
 empty = S_0 < S_1 < ... < S_k with strictly increasing induced weight; the lam
 values where it changes are the breakpoints.  The chain is recovered with
-at most 2k+1 max-flow calls by divide and conquer on multiplier intervals:
-probe the intersection of the value lines of the two bracketing sets; if the
-minimal minimizer at the probe equals the lower set, the probe is the single
-breakpoint between them, otherwise the probe's minimizer splits the interval.
+at most 2k+1 probes (minimum cuts) by divide and conquer on multiplier
+intervals: probe the intersection of the value lines of the two bracketing
+sets; if the minimal minimizer at the probe equals the lower set, the probe
+is the single breakpoint between them, otherwise the probe's minimizer
+splits the interval.  Brackets whose sets differ by one vertex need no
+probe: no chain set lies strictly between them, so they are consecutive
+chain sets and the crossing of their value lines is their breakpoint.
 
 The intervals are walked in rounds.  A round is the row of open brackets
 (lo, e(lo), hi, e(hi)) at one depth of the divide and conquer, kept from
@@ -16,19 +19,25 @@ solves them all with one ``LagrangianCutSolver.solve_many`` call, which
 packs their networks into one scipy max-flow call while int32 holds them
 all.  A probe that finds its lower set closes its bracket, which leaves the
 row; one that finds a new set replaces its bracket by the two halves, in
-place.  The closed brackets are sorted by lam once at the end, which puts
-the breakpoints in increasing order.  Nesting depth is bounded by memory,
-not by Python's recursion limit.  The induced weight of a set found by a
-probe is read off the probe itself: the solver has just checked
-Phi = |K| - lam * e(K) by a recount on the full hypergraph, so
-e(K) = (|K| - Phi) / lam exactly, and no set is recounted twice.
+place, and a half one vertex wide is closed at once.  The closed brackets
+are sorted by lam once at the end, which puts the breakpoints in increasing
+order.  Nesting depth is bounded by memory, not by Python's recursion
+limit.  The induced weight of a set found by a probe is read off the probe
+itself: the solver has just checked Phi = |K| - lam * e(K) by a recount on
+the full hypergraph, so e(K) = (|K| - Phi) / lam exactly, and no set is
+recounted twice.
+
+The first round is the root bracket (empty set, support) alone, through
+``LagrangianCutSolver.solve``.  The top probe, at a multiplier large enough
+to force the whole support, has no brackets; it leads the second round's
+call, or is solved alone after the walk when the root closes at once.
+Either way its set is checked to be the support before the chain is
+returned, which makes the support the top of the chain.
 
 Because minimal minimizers grow with lam, the minimizer at a probe lies
 between its two brackets, so each probe solves only the subnetwork of the
-vertices between them (``lo``/``hi`` of the solver).  Only the top probe,
-which has no brackets and is solved alone before the first round, and the
-first split between the empty set and the full support solve the whole
-network.
+vertices between them (``lo``/``hi`` of the solver).  Only the root bracket
+and the top probe solve the whole network.
 """
 
 from __future__ import annotations
@@ -110,34 +119,48 @@ def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
         return chain
 
     lam_max = Fraction(h.n + 1) / solver.min_positive
-    top = solver.solve(lam_max, method).vertex_set
-    expected_top = frozenset(solver.support)
-    if top != expected_top:
+    support = frozenset(solver.support)
+    closed = []  # brackets whose probe found lo or one vertex wide: lam is the breakpoint of hi
+    row = []
+
+    def split(b: _Bracket, cut) -> None:
+        mid = cut.vertex_set
+        if mid == b.lo:
+            closed.append(b)
+            return
+        if mid == b.hi:
+            raise InvariantError(
+                f"probe at {b.lam} returned the upper bracket set; minimal-cut "
+                "tie-breaking is broken"
+            )
+        e_mid = (len(mid) - cut.phi) / b.lam
+        halves = _Bracket.open(b.lo, b.e_lo, mid, e_mid), _Bracket.open(mid, e_mid, b.hi, b.e_hi)
+        for half in halves:
+            # no chain set lies strictly between two that are one vertex apart
+            (closed if len(half.hi) - len(half.lo) == 1 else row).append(half)
+
+    root = _Bracket.open(frozenset(), base_induced, support, solver.total)
+    if len(support) == 1:
+        closed.append(root)
+    else:  # the root bracket is solved alone
+        split(root, solver.solve(root.lam, method, root.lo, root.hi))
+    top = None  # the top probe leads the next round, or is solved alone after the walk
+    while row:
+        lead = [(lam_max, frozenset(), None)] if top is None else []
+        cuts = solver.solve_many(lead + [(b.lam, b.lo, b.hi) for b in row], method)
+        if lead:
+            top = cuts.pop(0)
+        brackets = row.copy()
+        row.clear()
+        for b, cut in zip(brackets, cuts):
+            split(b, cut)
+    if top is None:
+        top = solver.solve(lam_max, method)
+    if top.vertex_set != support:
         raise InvariantError(
             f"terminal multiplier {lam_max} did not force the full support: "
-            f"{sorted(top)} vs {sorted(expected_top)}"
+            f"{sorted(top.vertex_set)} vs {sorted(support)}"
         )
-
-    closed = []  # brackets whose probe found lo: lam is the breakpoint of hi
-    row = [_Bracket.open(frozenset(), base_induced, top, solver.total)]
-    while row:
-        cuts = solver.solve_many([(b.lam, b.lo, b.hi) for b in row], method)
-        brackets = []
-        for b, cut in zip(row, cuts):
-            mid = cut.vertex_set
-            if mid == b.lo:
-                closed.append(b)
-                continue
-            if mid == b.hi:
-                raise InvariantError(
-                    f"probe at {b.lam} returned the upper bracket set; minimal-cut "
-                    "tie-breaking is broken"
-                )
-            e_mid = (len(mid) - cut.phi) / b.lam
-            brackets += [
-                _Bracket.open(b.lo, b.e_lo, mid, e_mid), _Bracket.open(mid, e_mid, b.hi, b.e_hi)
-            ]
-        row = brackets
 
     closed.sort(key=lambda b: b.lam)
     chain = NestedChain(

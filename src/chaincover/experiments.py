@@ -24,6 +24,7 @@ from .hypergraph import (
     InvariantError,
     WeightedHypergraph,
     as_fraction,
+    check_vertex_ids,
     prefix_cover_counts,
     rational_to_text as text,
     shortest_prefix,
@@ -271,6 +272,9 @@ def run_comparison(
     bad = set(methods) - selectors.keys()
     if bad:
         raise InputError(f"unknown methods {sorted(bad)}; pick from {sorted(selectors)}")
+    # as chain_cover's hypergraph does, whatever the methods: the greedy
+    # selectors take any id; evaluation ids outside [0, n) are never covered
+    check_vertex_ids(n, train)
     rows = [
         ResultRow(method, phi, len(res.vertex_set), res.coverage, seed)
         for method, results in selectors.items() if method in methods

@@ -59,3 +59,30 @@ def test_workload_digest_at_seed_21(monkeypatch, tmp_path, name):
         digest.update(wl.digest(i, out))
     assert wl.final_check() == {}
     assert digest.hexdigest() == DIGESTS_AT_SEED_21[name]
+
+
+@pytest.mark.parametrize("name", list(DIGESTS_AT_SEED_21))
+def test_traced_pass_reaches_every_assigned_layer(monkeypatch, tmp_path, name):
+    # the traced pass of run.py --trace 1: set-up, then the fixed ops
+    _perfbench(monkeypatch)
+    import spans
+    from workloads import WORKLOADS
+
+    cls = WORKLOADS[name]
+    wl = cls(21, tmp_path, cls.fixed_ops)
+    tracer = spans.Tracer()
+    try:
+        assert tracer.install() == []
+        tracer.start_op(-1)
+        wl.prepare(cls.fixed_ops)
+        tracer.end_op()
+        for i in range(cls.fixed_ops):
+            tracer.start_op(i)
+            wl.op(i)
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    _, _, calls = spans.summary(tracer.spans, cls.fixed_ops)
+    assigned = [layer for layer, names in spans.LAYER_MAP.items() if name in names]
+    assert assigned
+    assert [layer for layer in assigned if calls[layer] == 0] == []

@@ -191,5 +191,107 @@ def test_one_scipy_call_per_round(monkeypatch):
     monkeypatch.setattr(LagrangianCutSolver, "solve_many", solving)
     chain = nested_chain(zipf_hypergraph(48, 48, 240))
     assert len(chain.sets) >= 3
-    # the top probe, then one call per round: one scipy call each
+    # the root alone, then one call per round: one scipy call each
     assert calls["maximum_flow"] == calls["solve_many"] < calls["probes"]
+
+
+def _record_walk(monkeypatch) -> dict:
+    """Per call from now on: ``solve`` calls, ``solve_many`` batches and max-flow calls."""
+    import scipy.sparse.csgraph as csgraph
+
+    from chaincover import flows
+
+    walk = {"solve": 0, "batches": [], "max_flow": 0}
+    solve, solve_many = LagrangianCutSolver.solve, LagrangianCutSolver.solve_many
+    maximum_flow, dinic = csgraph.maximum_flow, flows._max_flow_dinic
+
+    def solving(*args, **kwargs):
+        walk["solve"] += 1
+        return solve(*args, **kwargs)
+
+    # solve is a one-probe solve_many, so the batches hold every probe
+    def batching(self, probes, method="auto"):
+        walk["batches"].append([(lo, hi) for _, lo, hi in probes])
+        return solve_many(self, probes, method)
+
+    def flowing(*args, **kwargs):
+        walk["max_flow"] += 1
+        return maximum_flow(*args, **kwargs)
+
+    def dinic_flowing(*args, **kwargs):
+        walk["max_flow"] += 1
+        return dinic(*args, **kwargs)
+
+    monkeypatch.setattr(LagrangianCutSolver, "solve", solving)
+    monkeypatch.setattr(LagrangianCutSolver, "solve_many", batching)
+    monkeypatch.setattr(csgraph, "maximum_flow", flowing)
+    monkeypatch.setattr(flows, "_max_flow_dinic", dinic_flowing)
+    return walk
+
+
+def test_walk_probes_no_one_vertex_bracket(monkeypatch):
+    rng = np.random.default_rng(17)
+    graphs = [random_hypergraph(rng, 7, 9) for _ in range(12)]
+    graphs += [
+        WeightedHypergraph.build(4, [({2}, Fraction(3, 4)), (set(), 1), ({0, 1}, 0)]),  # one vertex
+        WeightedHypergraph.build(3, [({0, 1, 2}, Fraction(2, 5))]),  # two levels
+    ]
+    graphs += [zipf_hypergraph(600 + seed, 32, 120, dens=(2, 3, 5)) for seed in range(3)]
+    # a geometric peel: each level adds one vertex, its capacities far past int32
+    peel = WeightedHypergraph.build(60, [({v}, 60 ** (60 - v)) for v in range(60)])
+    for h in graphs + [peel]:
+        reference = nested_chain(h, method="dinic")
+        walk = _record_walk(monkeypatch)
+        chain = nested_chain(h)
+        monkeypatch.undo()
+        assert chain == reference
+        if h.n <= 7:  # the oracle enumerates all 2**n sets
+            want_sets, want_bps = chain_oracle(h)
+            assert (list(chain.sets), list(chain.breakpoints)) == (want_sets, want_bps)
+        probes = [probe for batch in walk["batches"] for probe in batch]
+        # sets one vertex apart are consecutive chain sets: never probed
+        assert all(hi is None or len(hi) - len(lo) >= 2 for lo, hi in probes)
+        assert [hi for _, hi in probes].count(None) == 1  # the top probe, once
+        # the root alone through solve, then the top leads the second round if
+        # there is one; otherwise the top is solved alone too
+        second_round = len(walk["batches"]) > walk["solve"]
+        root_probed = len(chain.sets[-1]) >= 2
+        assert walk["solve"] == 1 + (root_probed and not second_round)
+        if second_round:
+            assert walk["batches"][1][0] == (frozenset(), None)
+    assert chain.sets == tuple(frozenset(range(j)) for j in range(61))  # the peel, last
+    assert chain.breakpoints == tuple(Fraction(1, 60 ** (60 - v)) for v in range(60))
+
+
+def test_max_flow_calls_pinned(monkeypatch):
+    # zipf chains of the benchmark's two sizes, every probe on scipy; with the
+    # top probe solved alone and one-vertex brackets probed they took 44 calls
+    graphs = [zipf_hypergraph(900 + seed, 48, 240) for seed in range(4)]
+    graphs += [zipf_hypergraph(950 + seed, 32, 160, dens=(2, 3, 5, 7, 11, 13)) for seed in range(4)]
+    walk = _record_walk(monkeypatch)
+    for h in graphs:
+        nested_chain(h)
+    assert walk["max_flow"] == 32
+
+
+@pytest.mark.parametrize("second_round", [True, False])
+def test_top_check_fires_wherever_the_top_is_solved(second_round, monkeypatch):
+    from dataclasses import replace
+
+    if second_round:  # the top probe leads the second round
+        h = zipf_hypergraph(48, 48, 240)
+    else:  # the root bracket closes at once: the top probe is solved alone
+        h = WeightedHypergraph.build(2, [({0, 1}, 1)])
+    batches = []
+    solve_many = LagrangianCutSolver.solve_many
+
+    def short_top(self, probes, method="auto"):
+        batches.append(len(probes))
+        results = solve_many(self, probes, method)
+        return [replace(r, vertex_set=frozenset({0})) if hi is None else r
+                for (_, _, hi), r in zip(probes, results)]
+
+    monkeypatch.setattr(LagrangianCutSolver, "solve_many", short_top)
+    with pytest.raises(InvariantError, match=r"terminal multiplier .* force the full support"):
+        nested_chain(h)
+    assert (batches[1] > 1) == second_round

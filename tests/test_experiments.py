@@ -338,6 +338,17 @@ def test_run_comparison_method_filter():
         xp.run_comparison(5, TRAIN, TEST, [Fraction(1, 2)], ("chain", "pagerank"), 0)
 
 
+@pytest.mark.parametrize("methods", [
+    ("forward_greedy", "reverse_greedy"), ("forward_greedy",), ("reverse_greedy",), ("chain",),
+])
+def test_run_comparison_rejects_out_of_range_training_ids(methods):
+    with pytest.raises(InputError, match=r"vertex id 9 outside \[0, 2\)"):
+        xp.run_comparison(2, [frozenset({0, 9})], [frozenset({0, 9})], [1], methods, 0)
+    # an evaluation sample past [0, n) is only never covered
+    rows = xp.run_comparison(2, [frozenset({0, 1})], [frozenset({0, 9})], [1], methods, 0)
+    assert {r.coverage for r in rows} == {0}
+
+
 # sha256 of result_csv(comparison_rows(kind, [0, 1, 2], default_phi_grid())):
 # every draw of both generators at seeds 0-2 feeds these bytes
 CSV_SHA256 = {

@@ -239,13 +239,13 @@ def test_bracket_order_checked(pair_edge):
 
 def test_probes_below_the_root_bracket_solve_smaller_networks(monkeypatch):
     h = zipf_hypergraph(48, 48, 240)
-    probes = []
+    calls = []
     solve_many = LagrangianCutSolver.solve_many
 
-    # solve is a one-probe solve_many, so this sees every probe in order
+    # solve is a one-probe solve_many, so this sees every probe, call by call
     def recording(self, batch, method="auto"):
         results = solve_many(self, batch, method)
-        probes.extend((lo, hi, result.arcs) for (_, lo, hi), result in zip(batch, results))
+        calls.append([(lo, hi, result.arcs) for (_, lo, hi), result in zip(batch, results)])
         return results
 
     monkeypatch.setattr(LagrangianCutSolver, "solve_many", recording)
@@ -253,10 +253,12 @@ def test_probes_below_the_root_bracket_solve_smaller_networks(monkeypatch):
     solver = LagrangianCutSolver(h)
     full = len(solver.edge_members) + sum(map(len, solver.edge_members)) + len(solver.support)
     assert len(chain.sets) >= 3
-    # the top probe and the first bracket (empty set, support) need the whole network
-    (top_lo, top_hi, top_arcs), (root_lo, root_hi, root_arcs), *rest = probes
+    # the first bracket (empty set, support) is solved alone, then the top
+    # probe leads the next call: both need the whole network
+    (root,), ((top_lo, top_hi, top_arcs), *second), *later = calls
+    assert root == (frozenset(), chain.sets[-1], full)
     assert (top_lo, top_hi, top_arcs) == (frozenset(), None, full)
-    assert (root_lo, root_hi, root_arcs) == (frozenset(), chain.sets[-1], full)
+    rest = second + [probe for call in later for probe in call]
     assert rest
     assert all(arcs < full for _, _, arcs in rest)
 

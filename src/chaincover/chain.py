@@ -38,16 +38,24 @@ Because minimal minimizers grow with lam, the minimizer at a probe lies
 between its two brackets, so each probe solves only the subnetwork of the
 vertices between them (``lo``/``hi`` of the solver).  Only the root bracket
 and the top probe solve the whole network.
+
+The sample selectors (the fixed-context fit and the comparison's chain
+cover) fit the chain of a unit-mass hypergraph with one hyperedge per
+sample.  ``_sample_chain`` builds it and remembers the last one, keyed by
+n and the multiset of samples, so a coverage sweep and the comparison that
+follows it on the same samples build one chain.  Ids are checked before
+the lookup: ``{True}`` and ``{1.0}`` equal ``{1}`` as keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 from .flows import LagrangianCutSolver
-from .hypergraph import WeightedHypergraph, InvariantError
+from .hypergraph import WeightedHypergraph, InvariantError, check_vertex_ids
 
 __all__ = ["NestedChain", "nested_chain"]
 
@@ -171,3 +179,19 @@ def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
     )
     chain.validate()
     return chain
+
+
+def _sample_chain(n: int, samples: Sequence[Iterable[int]]) -> NestedChain:
+    """Chain of the unit-mass hypergraph on [0, n) with one hyperedge per sample.
+
+    Ids are checked on every call; the chain is built only when (n, samples)
+    differs from the previous call's.  Callers may share the returned chain:
+    it is frozen.
+    """
+    check_vertex_ids(n, samples)
+    return _last_sample_chain(n, tuple(map(frozenset, samples)))
+
+
+@lru_cache(maxsize=1)  # one entry: a phi sweep and its comparison come in a row
+def _last_sample_chain(n: int, samples: tuple[frozenset[int], ...]) -> NestedChain:
+    return nested_chain(WeightedHypergraph.build(n, [(s, 1) for s in samples]))

@@ -13,7 +13,9 @@ the chain selector at tau*.
 
 Also provides the fixed-context fitter: split the samples in half, build the
 chain on the first half, and return the shortest prefix of a fixed vertex
-order meeting a conformal covered-count level on the second half.
+order meeting a conformal covered-count level on the second half.  The chain
+does not depend on phi, so fits at several phi on the same first half, run
+one after another, share one chain (``chain._sample_chain`` keeps the last).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chain import NestedChain, nested_chain
+from .chain import NestedChain, _sample_chain, nested_chain
 from .compress import _check_kappa, select, tau_threshold
 from .hypergraph import (
     InputError,
@@ -199,9 +201,8 @@ def fixed_context_fit(
     t1 = t // 2
     first = [frozenset(s) for s in samples[:t1]]
     second = [frozenset(s) for s in samples[t1:]]
-    check_vertex_ids(n_vertices, samples)
-    h1 = WeightedHypergraph.build(n_vertices, [(s, 1) for s in first])
-    chain = nested_chain(h1)
+    chain = _sample_chain(n_vertices, samples[:t1])  # checks the first half's ids
+    check_vertex_ids(n_vertices, samples[t1:])
     order = _fixed_order(chain, first, n_vertices)
     level = quantile_index(phi, len(second))
     counts = prefix_cover_counts(order, second)

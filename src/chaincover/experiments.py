@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import GreedyResult, forward_greedy, reverse_greedy
-from .chain import nested_chain
+from .chain import _sample_chain, nested_chain
 from .compress import _check_kappa, select
 from .hypergraph import (
     InputError,
@@ -102,8 +102,12 @@ def _edge_id_down(cfg: GridRoutingConfig, i: int, j: int) -> int:
     return cfg.side * (cfg.side - 1) + i * cfg.side + j
 
 
-def _shortest_monotone_path(cfg: GridRoutingConfig, weights) -> frozenset[int]:
-    """Min-weight right/down path, ties by lexicographically smallest id sequence."""
+def _shortest_monotone_path(cfg: GridRoutingConfig, weights: Sequence[float]) -> frozenset[int]:
+    """Min-weight right/down path, ties by lexicographically smallest id sequence.
+
+    ``weights`` is best a list of Python floats: each read of a numpy array
+    builds a numpy scalar.
+    """
     side = cfg.side
     best: dict[tuple[int, int], tuple[float, tuple[int, ...]]] = {(0, 0): (0.0, ())}
     for i in range(side):
@@ -131,8 +135,8 @@ def gen_grid_routes(cfg: GridRoutingConfig, seed: int) -> GridData:
     routes = [(_TRAIN, s) for s in range(cfg.n_train)] + [(_TEST, s) for s in range(cfg.n_test)]
     coins = _first_random(first_words(seed, [(tag, s, 0) for tag, s in routes])).tolist()
     drawn = tuple(
-        bypass if coin < cfg.bypass_share else _shortest_monotone_path(
-            cfg, stream(seed, tag, s, 1).uniform(cfg.weight_low, cfg.weight_high, size=cfg.n_grid_edges))
+        bypass if coin < cfg.bypass_share else _shortest_monotone_path(cfg, stream(seed, tag, s, 1).uniform(
+            cfg.weight_low, cfg.weight_high, size=cfg.n_grid_edges).tolist())
         for (tag, s), coin in zip(routes, coins)
     )
     return GridData(cfg, seed, cfg.n_vertices, drawn[:cfg.n_train], drawn[cfg.n_train:], bypass)
@@ -240,8 +244,7 @@ def chain_cover(
     """
     if not test:
         raise InputError("evaluation sample set must be nonempty")
-    h = WeightedHypergraph.build(n, [(s, 1) for s in train])
-    ch = nested_chain(h)
+    ch = _sample_chain(n, train)
     # every chain set is a prefix of this order
     order = [v for lo, hi in zip((frozenset(),) + ch.sets, ch.sets) for v in sorted(hi - lo)]
     order += sorted(set(range(n)) - ch.sets[-1])

@@ -13,7 +13,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
@@ -270,6 +270,33 @@ def containment_threshold_scan(
         if target <= select_fn(t):
             return t
     return None
+
+
+# ---------------------------------------------------------------- grid routing
+
+
+def monotone_path_reference(side: int, weights: Sequence[float]) -> frozenset[int]:
+    """Edge ids of the min-(weight, id sequence) right/down path over a
+    side x side grid, by enumerating every path.
+
+    Right edges of row i are i*(side-1)+j, down edges side*(side-1)+i*side+j.
+    Each path's weight is summed from the start, in path order, as the
+    dynamic program sums it, so both see the same doubles.
+    """
+    steps = 2 * (side - 1)
+    best = None
+    for downs in combinations(range(steps), side - 1):
+        i = j = 0
+        total, ids = 0.0, []
+        for k in range(steps):
+            if k in downs:
+                e, i = side * (side - 1) + i * side + j, i + 1
+            else:
+                e, j = i * (side - 1) + j, j + 1
+            total += float(weights[e])
+            ids.append(e)
+        best = min(best or (total, ids), (total, ids))
+    return frozenset(best[1])
 
 
 # ---------------------------------------------------------------- trip planning

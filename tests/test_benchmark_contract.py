@@ -86,3 +86,30 @@ def test_traced_pass_reaches_every_assigned_layer(monkeypatch, tmp_path, name):
     assigned = [layer for layer, names in spans.LAYER_MAP.items() if name in names]
     assert assigned
     assert [layer for layer in assigned if calls[layer] == 0] == []
+
+
+def test_calibrate_builds_one_chain_per_training_multiset(monkeypatch, tmp_path):
+    # a traced calibrate pass at seed 21: per context, one chain for the three
+    # fits and the comparison's chain cover, one for stage 2's single family
+    _perfbench(monkeypatch)
+    import spans
+    from workloads import WORKLOADS
+
+    from chaincover.chain import _last_sample_chain
+
+    _last_sample_chain.cache_clear()
+    cls = WORKLOADS["calibrate"]
+    wl = cls(21, tmp_path, cls.fixed_ops)
+    tracer = spans.Tracer()
+    try:
+        assert tracer.install() == []
+        wl.prepare(cls.fixed_ops)
+        for i in range(cls.fixed_ops):
+            tracer.start_op(i)
+            wl.op(i)
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    _, _, calls = spans.summary(tracer.spans, cls.fixed_ops)
+    assert cls.fixed_ops == 14
+    assert calls["chain.nested_chain"] == 4

@@ -21,6 +21,8 @@ from chaincover import (
     quantile_index,
     tau_threshold,
 )
+from chaincover import chain as chain_module
+from chaincover.experiments import TripPlanConfig, chain_cover, default_phi_grid, gen_trip_samples
 from chaincover.rng import stream
 
 from oracles import fixed_order_reference, random_hypergraph
@@ -434,3 +436,70 @@ def test_fixed_order_matches_the_recounting_greedy():
         seen["empty"] += frozenset() in first
         seen["outside"] += len(fit.chain.sets[-1]) < n
     assert min(seen.values()) >= 20, seen
+
+
+# ------------------------------------------------ one chain per training multiset
+
+
+def _count_chains(monkeypatch):
+    """Empty the sample-chain memo and record every chain it builds."""
+    chain_module._last_sample_chain.cache_clear()
+    built = []
+    monkeypatch.setattr(chain_module, "nested_chain", lambda h: built.append(h) or nested_chain(h))
+    return built
+
+
+def _uncached(call):
+    chain_module._last_sample_chain.cache_clear()
+    return call()
+
+
+FIT_PHIS = (Fraction(7, 10), Fraction(4, 5), Fraction(9, 10))
+
+
+def test_phi_sweep_and_chain_cover_build_one_chain(monkeypatch):
+    trip = gen_trip_samples(TripPlanConfig(n_train=40, n_test=60), 5)
+    draws = list(trip.train) + list(trip.test[:40])  # first half: the training draws
+    calls = [lambda phi=phi: fixed_context_fit(draws, phi, trip.n) for phi in FIT_PHIS]
+    calls.append(lambda: chain_cover(trip.n, trip.train, trip.test, default_phi_grid()))
+    expected = [_uncached(call) for call in calls]
+    built = _count_chains(monkeypatch)
+    results = [call() for call in calls]
+    assert len(built) == 1
+    assert results == expected
+    assert all(fit.chain is results[0].chain for fit in results[1:3])
+
+
+def test_memo_keeps_only_the_last_multiset(monkeypatch):
+    a = [frozenset({0, 1}), frozenset({2}), frozenset({0, 1}), frozenset({3, 4})]
+    b = [frozenset({0}), frozenset({1, 2}), frozenset({0}), frozenset({4})]
+    built = _count_chains(monkeypatch)
+    fits = [fixed_context_fit(draws, Fraction(1, 2), 5) for draws in (a + a, b + b, a + a)]
+    assert len(built) == 3
+    for draws, fit in zip((a, b, a), fits):
+        assert fit.chain == nested_chain(WeightedHypergraph.build(5, [(s, 1) for s in draws]))
+
+
+@pytest.mark.parametrize("stand_in", [True, 1.0])
+def test_memo_hit_still_rejects_non_int_ids(stand_in):
+    draws = [frozenset({1, 2}), frozenset({0}), frozenset({1, 2}), frozenset({3})]
+    fixed_context_fit(draws, Fraction(1, 2), 4)
+    chain_cover(4, draws[:2], draws[2:], [1])
+    swapped = [frozenset(stand_in if v == 1 else v for v in s) for s in draws]
+    assert swapped == draws  # equal keys: only the id check tells them apart
+    message = rf"vertex id {stand_in!r} outside \[0, 4\)"
+    with pytest.raises(InputError, match=message):
+        fixed_context_fit(swapped, Fraction(1, 2), 4)
+    with pytest.raises(InputError, match=message):
+        chain_cover(4, swapped[:2], swapped[2:], [1])
+
+
+def test_list_and_set_samples_share_the_frozenset_entry(monkeypatch):
+    draws = [frozenset({0, 1}), frozenset({2}), frozenset({1, 3}), frozenset({0, 1})]
+    built = _count_chains(monkeypatch)
+    fits = [
+        fixed_context_fit(converted, Fraction(1, 2), 4)
+        for converted in (draws, [sorted(s) for s in draws], [set(s) for s in draws])
+    ]
+    assert len(built) == 1
+    assert fits[1:] == fits[:1] * 2

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chaincover import experiments as xp
@@ -15,7 +16,7 @@ from chaincover.hypergraph import InputError
 from chaincover.io import result_csv
 
 from conftest import child_env
-from oracles import trip_samples_reference
+from oracles import monotone_path_reference, trip_samples_reference
 
 
 def test_default_phi_grid():
@@ -113,6 +114,23 @@ def test_grid_path_tie_break_prefers_small_ids():
     cfg = xp.GridRoutingConfig()
     path = xp._shortest_monotone_path(cfg, [1.0] * cfg.n_grid_edges)
     assert sorted(path) == [0, 1, 2, 3, 4, 35, 41, 47, 53, 59]
+
+
+@pytest.mark.parametrize("side", [2, 3, 4, 6])
+def test_grid_path_matches_enumeration_on_tied_weights(side):
+    # small integer weights tie many paths exactly, so the id-sequence
+    # tie-break decides; a numpy array and its list of floats give one path
+    cfg = xp.GridRoutingConfig(side=side)
+    gen = np.random.default_rng(side)
+    for high in (1, 2, 3, 4):
+        for _ in range(100):
+            weights = gen.integers(0, high, cfg.n_grid_edges).astype(float)
+            path = xp._shortest_monotone_path(cfg, weights.tolist())
+            assert path == xp._shortest_monotone_path(cfg, weights)
+            assert path == monotone_path_reference(side, weights)
+    for _ in range(100):
+        weights = gen.uniform(cfg.weight_low, cfg.weight_high, cfg.n_grid_edges)
+        assert xp._shortest_monotone_path(cfg, weights.tolist()) == monotone_path_reference(side, weights)
 
 
 # ---------------------------------------------------------------- trip planning

@@ -41,14 +41,16 @@ and the top probe solve the whole network.
 
 The sample selectors (the fixed-context fit and the comparison's chain
 cover) fit the chain of a unit-mass hypergraph with one hyperedge per
-sample.  ``_sample_chain`` builds it and remembers the last one, keyed by
-n and the multiset of samples, so a coverage sweep and the comparison that
-follows it on the same samples build one chain.  Ids are checked before
-the lookup: ``{True}`` and ``{1.0}`` equal ``{1}`` as keys.
+sample and take prefixes of its fixed vertex order (``_fixed_order``).
+``_sample_chain`` builds both and remembers the last pair, keyed by n and
+the multiset of samples, so a coverage sweep and the comparison that
+follows it on the same samples build one chain and one order.  Ids are
+checked before the lookup: ``{True}`` and ``{1.0}`` equal ``{1}`` as keys.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -181,17 +183,52 @@ def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
     return chain
 
 
-def _sample_chain(n: int, samples: Sequence[Iterable[int]]) -> NestedChain:
-    """Chain of the unit-mass hypergraph on [0, n) with one hyperedge per sample.
+_ChainOrder = tuple[NestedChain, tuple[int, ...]]  # a sample chain and its fixed order
 
-    Ids are checked on every call; the chain is built only when (n, samples)
-    differs from the previous call's.  Callers may share the returned chain:
-    it is frozen.
+
+def _sample_chain(n: int, samples: Sequence[Iterable[int]]) -> _ChainOrder:
+    """The unit-mass sample hypergraph's chain on [0, n) and its fixed order.
+
+    Ids are checked on every call; the pair is built only when (n, samples)
+    differs from the previous call's.  Callers may share it: both are frozen.
     """
     check_vertex_ids(n, samples)
     return _last_sample_chain(n, tuple(map(frozenset, samples)))
 
 
 @lru_cache(maxsize=1)  # one entry: a phi sweep and its comparison come in a row
-def _last_sample_chain(n: int, samples: tuple[frozenset[int], ...]) -> NestedChain:
-    return nested_chain(WeightedHypergraph.build(n, [(s, 1) for s in samples]))
+def _last_sample_chain(n: int, samples: tuple[frozenset[int], ...]) -> _ChainOrder:
+    chain = nested_chain(WeightedHypergraph.build(n, [(s, 1) for s in samples]))
+    return chain, _fixed_order(chain, samples, n)
+
+
+def _fixed_order(
+    chain: NestedChain, samples: Sequence[frozenset[int]], n: int
+) -> tuple[int, ...]:
+    """Chain blocks in order, then the vertices outside the top set by id.
+
+    Inside a block the vertex completing the most still-uncovered samples
+    goes first, ties by ascending id.  missing[i] counts the vertices of
+    samples[i] not yet placed; gain[v], the samples only v is missing from.
+    """
+    missing = [len(s) for s in samples]
+    holders: dict[int, list[int]] = defaultdict(list)  # vertex -> samples holding it
+    gain: Counter[int] = Counter(next(iter(s)) for s in samples if len(s) == 1)
+    for i, s in enumerate(samples):
+        for v in s:
+            holders[v].append(i)
+    order: list[int] = []
+    placed: set[int] = set()
+    for j in range(1, len(chain.sets)):
+        block = set(chain.sets[j] - chain.sets[j - 1])
+        while block:
+            best = min(block, key=lambda v: (-gain[v], v))
+            block.remove(best)
+            placed.add(best)
+            order.append(best)
+            for i in holders[best]:
+                missing[i] -= 1
+                if missing[i] == 1:
+                    gain[next(v for v in samples[i] if v not in placed)] += 1
+    order.extend(v for v in range(n) if v not in placed)
+    return tuple(order)

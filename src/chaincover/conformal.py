@@ -12,16 +12,15 @@ phi = 0) no score is needed and tau* is 0.  Prediction then runs
 the chain selector at tau*.
 
 Also provides the fixed-context fitter: split the samples in half, build the
-chain on the first half, and return the shortest prefix of a fixed vertex
-order meeting a conformal covered-count level on the second half.  The chain
-does not depend on phi, so fits at several phi on the same first half, run
-one after another, share one chain (``chain._sample_chain`` keeps the last).
+chain and its fixed vertex order on the first half, and return the shortest
+prefix of that order meeting a conformal covered-count level on the second
+half.  Neither depends on phi, so fits at several phi on one first half, in a
+row, share one chain and one order (``chain._sample_chain`` keeps the last).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -185,25 +184,21 @@ def fixed_context_fit(
 ) -> FixedContextFit:
     """Shortest adequate prefix of the first-half-driven vertex order.
 
-    The first half of the samples builds the chain and the fixed order
-    (chain blocks in order; inside a block, vertices sorted by how many
-    still-uncovered first-half samples they complete, ties by ascending id;
-    vertices outside the top set appended in ascending id).  The returned set
-    is the shortest prefix whose second-half covered count reaches
-    ceil(phi * (T2 + 1)); if that level exceeds T2 no prefix reaches it and
-    the whole order, the full vertex set, is returned.  Coverage of the prefix family is monotone, so this matches
-    top-down deletion that stops when the level would be violated.
+    The first half of the samples builds the chain and its fixed order
+    (``chain._fixed_order``).  The returned set is the shortest prefix whose
+    second-half covered count reaches ceil(phi * (T2 + 1)); if that level
+    exceeds T2 no prefix reaches it and the whole order, the full vertex
+    set, is returned.  Coverage of the prefix family is monotone, so this
+    matches top-down deletion that stops when the level would be violated.
     """
     phi = unit_fraction(phi, "phi")
     t = len(samples)
     if t < 2:
         raise InputError(f"need at least two samples, got {t}")
     t1 = t // 2
-    first = [frozenset(s) for s in samples[:t1]]
     second = [frozenset(s) for s in samples[t1:]]
-    chain = _sample_chain(n_vertices, samples[:t1])  # checks the first half's ids
+    chain, order = _sample_chain(n_vertices, samples[:t1])  # checks the first half's ids
     check_vertex_ids(n_vertices, samples[t1:])
-    order = _fixed_order(chain, first, n_vertices)
     level = quantile_index(phi, len(second))
     counts = prefix_cover_counts(order, second)
     prefix_len = shortest_prefix(counts, level)
@@ -211,34 +206,3 @@ def fixed_context_fit(
         frozenset(order[:prefix_len]), order, prefix_len, level,
         Fraction(counts[prefix_len], len(second)), chain,
     )
-
-
-def _fixed_order(
-    chain: NestedChain, first: Sequence[frozenset[int]], n_vertices: int
-) -> tuple[int, ...]:
-    """Chain blocks in order; greedy first-half completion count inside each.
-
-    missing[i] counts the vertices of first[i] not yet placed, and gain[v]
-    the samples whose only missing vertex is v: those that placing v completes.
-    """
-    missing = [len(s) for s in first]
-    holders: dict[int, list[int]] = defaultdict(list)  # vertex -> samples holding it
-    gain: Counter[int] = Counter(next(iter(s)) for s in first if len(s) == 1)
-    for i, s in enumerate(first):
-        for v in s:
-            holders[v].append(i)
-    order: list[int] = []
-    placed: set[int] = set()
-    for j in range(1, len(chain.sets)):
-        block = set(chain.sets[j] - chain.sets[j - 1])
-        while block:
-            best = min(block, key=lambda v: (-gain[v], v))
-            block.remove(best)
-            placed.add(best)
-            order.append(best)
-            for i in holders[best]:
-                missing[i] -= 1
-                if missing[i] == 1:
-                    gain[next(v for v in first[i] if v not in placed)] += 1
-    order.extend(v for v in range(n_vertices) if v not in placed)
-    return tuple(order)

@@ -239,15 +239,13 @@ def chain_cover(
 ) -> dict[Fraction, GreedyResult]:
     """Smallest chain set reaching each target coverage on the held-out samples.
 
-    The chain is fit on the training multiset; if even its top set
-    under-covers, remaining vertices are appended in ascending id.
+    The chain and its fixed order, the one ``fixed_context_fit`` reads, are
+    fit on the training multiset; if even the top set under-covers, the
+    order's tail (the other vertices in ascending id) extends it.
     """
     if not test:
         raise InputError("evaluation sample set must be nonempty")
-    ch = _sample_chain(n, train)
-    # every chain set is a prefix of this order
-    order = [v for lo, hi in zip((frozenset(),) + ch.sets, ch.sets) for v in sorted(hi - lo)]
-    order += sorted(set(range(n)) - ch.sets[-1])
+    ch, order = _sample_chain(n, train)
     counts = prefix_cover_counts(order, test)
     out: dict[Fraction, GreedyResult] = {}
     for raw in phi_grid:

@@ -1,3 +1,4 @@
+import json
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -55,3 +56,19 @@ def skewed_instance() -> WeightedHypergraph:
             (frozenset(range(10)), Fraction(1, 2)),
         ],
     )
+
+
+@pytest.fixture
+def short_top_chain_file(tmp_path) -> Path:
+    """A saved chain whose top set {0} holds mass 1 of W = 2: residual 1 at the top.
+
+    A chain file need not come from ``nested_chain``, so its top set may miss
+    mass that no vertex set can cover, and no target at tau = 1 is reachable.
+    """
+    path = tmp_path / "short-top.json"
+    path.write_text(json.dumps({
+        "sets": [[], [0]],
+        "breakpoints": ["1"],
+        "stats": [{"induced": "0"}, {"induced": "1", "residual": "1"}],
+    }))
+    return path

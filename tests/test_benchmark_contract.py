@@ -113,3 +113,24 @@ def test_calibrate_builds_one_chain_per_training_multiset(monkeypatch, tmp_path)
     _, _, calls = spans.summary(tracer.spans, cls.fixed_ops)
     assert cls.fixed_ops == 14
     assert calls["chain.nested_chain"] == 4
+
+
+def test_calibrate_builds_one_order_per_context(monkeypatch, tmp_path):
+    # the same pass at seed 21: a context's three fits and its chain cover
+    # read one fixed vertex order from the sample-chain memo
+    _perfbench(monkeypatch)
+    from workloads import WORKLOADS
+
+    from chaincover import chain
+
+    chain._last_sample_chain.cache_clear()
+    built = []
+    fixed_order = chain._fixed_order
+    monkeypatch.setattr(chain, "_fixed_order", lambda *args: built.append(args) or fixed_order(*args))
+    cls = WORKLOADS["calibrate"]
+    wl = cls(21, tmp_path, cls.fixed_ops)
+    wl.prepare(cls.fixed_ops)
+    for i in range(cls.fixed_ops):
+        wl.op(i)
+    assert cls.fixed_ops == 14
+    assert len(built) == 2

@@ -455,6 +455,28 @@ def test_malformed_file_is_an_input_error(tmp_path, monkeypatch, capsys, args, d
     assert capsys.readouterr().err.startswith("input error:")
 
 
+def test_bad_rational_list_is_an_input_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["chaincover", "experiment", "grid", "--out", "grid.csv",
+                                      "--phi-grid", "1/0"])
+    with pytest.raises(SystemExit) as stop:
+        main()
+    assert stop.value.code == 1
+    assert capsys.readouterr().err.startswith("input error: bad rational list '1/0': ")
+    assert not (tmp_path / "grid.csv").exists()
+
+
+def test_compress_past_a_loaded_top_set_is_an_input_error(monkeypatch, capsys,
+                                                          short_top_chain_file):
+    # at tau = 1 the bound is 0, and the loaded top set leaves residual 1
+    monkeypatch.setattr(sys, "argv", ["chaincover", "compress", str(short_top_chain_file),
+                                      "--tau", "1"])
+    with pytest.raises(SystemExit) as stop:
+        main()
+    assert stop.value.code == 1
+    assert capsys.readouterr().err == "input error: no chain set meets residual bound 0\n"
+
+
 UNWRITABLE_COMMANDS = {
     "chain": ["chain", "inst.json"],
     "experiment": ["experiment", "adversarial", "--path-len", "4", "--parallel", "2",

@@ -13,6 +13,7 @@ from chaincover import (
     select,
     tau_threshold,
 )
+from chaincover.io import load_chain
 
 from oracles import exact_min_size, mass_table, phi_minimizers, random_hypergraph, round_fractional
 
@@ -82,6 +83,13 @@ def test_fractional_vertexless_mass_overshoot():
     frac = fractional_solution(chain, Fraction(3, 10))
     assert (frac.lower_index, frac.upper_index) == (0, 0)
     assert frac.alpha == 0 and frac.objective == 0
+
+
+def test_fractional_target_past_a_loaded_top_set(short_top_chain_file):
+    chain = load_chain(short_top_chain_file)
+    assert chain.residuals[-1] == 1
+    with pytest.raises(InputError, match="target mass 2 exceeds reachable mass 1"):
+        fractional_solution(chain, 1)
 
 
 def test_parameter_validation(three_path_instance):

@@ -470,6 +470,23 @@ def test_phi_sweep_and_chain_cover_build_one_chain(monkeypatch):
     assert all(fit.chain is results[0].chain for fit in results[1:3])
 
 
+def test_phi_sweep_and_chain_cover_build_one_order(monkeypatch):
+    trip = gen_trip_samples(TripPlanConfig(n_train=40, n_test=60), 5)
+    draws = list(trip.train) + list(trip.test[:40])  # first half: the training draws
+    chain_module._last_sample_chain.cache_clear()
+    built = []
+    fixed_order = chain_module._fixed_order
+    monkeypatch.setattr(chain_module, "_fixed_order",
+                        lambda *args: built.append(args) or fixed_order(*args))
+    fits = [fixed_context_fit(draws, phi, trip.n) for phi in FIT_PHIS]
+    covers = chain_cover(trip.n, trip.train, trip.test, default_phi_grid())
+    assert len(built) == 1
+    assert all(fit.order is fits[0].order for fit in fits[1:])
+    # every chain cover set is a prefix of the fits' order
+    for res in covers.values():
+        assert res.vertex_set == frozenset(fits[0].order[:len(res.vertex_set)])
+
+
 def test_memo_keeps_only_the_last_multiset(monkeypatch):
     a = [frozenset({0, 1}), frozenset({2}), frozenset({0, 1}), frozenset({3, 4})]
     b = [frozenset({0}), frozenset({1, 2}), frozenset({0}), frozenset({4})]

@@ -56,6 +56,14 @@ def default_phi_grid() -> tuple[Fraction, ...]:
     return tuple(Fraction(j, 20) for j in range(1, 21))
 
 
+def _check_at_least(cfg, low: int, *names: str) -> None:
+    """InputError unless each named field of ``cfg`` is at least ``low``."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value < low:
+            raise InputError(f"{name} must be >= {low}, got {value}")
+
+
 # ---------------------------------------------------------------- grid routing
 
 
@@ -74,6 +82,7 @@ class GridRoutingConfig:
             raise InputError(f"grid needs side >= 2, got {self.side}")
         if not 0 <= self.bypass_share <= 1:
             raise InputError(f"bypass share must lie in [0, 1], got {self.bypass_share}")
+        _check_at_least(self, 0, "bypass_len", "n_train", "n_test")
 
     @property
     def n_grid_edges(self) -> int:
@@ -159,6 +168,8 @@ class TripPlanConfig:
             raise InputError(f"core density must lie in (0, 1], got {self.core_density}")
         if not 0 < self.core_mass <= 1:
             raise InputError(f"core mass must lie in (0, 1], got {self.core_mass}")
+        _check_at_least(self, 1, "groups", "group_size")
+        _check_at_least(self, 0, "n_train", "n_test")
 
     @property
     def core_per_group(self) -> int:
@@ -291,15 +302,15 @@ def comparison_rows(kind: str, seeds: Sequence[int], phi_grid: Sequence,
 
     Raises InvariantError when a method's set size shrinks as phi grows.
     """
+    if kind not in ("grid", "trip"):
+        raise InputError(f"unknown comparison kind {kind!r}; pick grid or trip")
     methods = ("chain", "forward_greedy", "reverse_greedy")
     rows: list[ResultRow] = []
     for seed in seeds:
         if kind == "grid":
             data = gen_grid_routes(GridRoutingConfig(), seed)
-        elif kind == "trip":
-            data = gen_trip_samples(TripPlanConfig(core_density=core_density), seed)
         else:
-            raise InputError(f"unknown comparison kind {kind!r}; pick grid or trip")
+            data = gen_trip_samples(TripPlanConfig(core_density=core_density), seed)
         seed_rows = run_comparison(data.n, data.train, data.test, phi_grid, methods, seed)
         # sorted by (method, phi): each method's rows are consecutive, phi ascending
         for prev, cur in zip(seed_rows, seed_rows[1:]):

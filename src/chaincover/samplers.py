@@ -11,13 +11,14 @@ integer draws, so the output distribution is uniform by construction:
 * subtrees: root-containing connected subtrees, cost 1 per node off the
   reference subtree.
 
-Each builder computes every field of its table in one pass; each family's
-recurrence is one function that the builder and ``verify()`` share.
+Each builder computes every field of its table in one pass. A table's
+``verify()`` rebuilds it from its own input fields with the same builder and
+compares every field, so a table that disagrees with its inputs fails it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +47,19 @@ def _unit(budget: int) -> tuple[int, ...]:
     return (1,) + (0,) * budget
 
 
+def _verify(table, build, *inputs) -> None:
+    """Rebuild ``table`` from ``inputs`` with ``build``; InvariantError names the
+    first field that differs, or says that the inputs no longer build."""
+    name = type(table).__name__
+    try:
+        fresh = build(*inputs)
+    except InputError as exc:
+        raise InvariantError(f"{name} inputs do not build: {exc}") from exc
+    for field in fields(table):
+        if getattr(table, field.name) != getattr(fresh, field.name):
+            raise InvariantError(f"{name}.{field.name} inconsistent with a rebuild from its inputs")
+
+
 # ---------------------------------------------------------------- walks
 
 
@@ -53,8 +67,9 @@ def _unit(budget: int) -> tuple[int, ...]:
 class WalkDPTable:
     """Counts N[(u, k)] of cost-k u->t walks; absorbing target.
 
-    ``adjacency`` holds the moves leaving each vertex, as ``_walk_moves``
-    derives them from ``path`` and ``other_edges``.
+    ``adjacency`` holds the moves (successor, cost, edge key) leaving each
+    vertex, as ``_walk_moves`` derives them from ``path`` and ``other_edges``;
+    none leave t.
     """
 
     path: tuple[int, ...]
@@ -64,21 +79,8 @@ class WalkDPTable:
     partition: int  # total admissible walks from s
     adjacency: dict[int, tuple[Move, ...]]
 
-    def moves(self, u: int) -> tuple[Move, ...]:
-        """(successor, cost, edge key) triples leaving u; none leave t."""
-        return self.adjacency.get(u, ())
-
     def verify(self) -> None:
-        """Re-derive the moves, every filled cell and the partition."""
-        if self.adjacency != _walk_moves(self.path, self.other_edges):
-            raise InvariantError("walk moves inconsistent with the path and free edges")
-        t = self.path[-1]
-        for (u, k), value in self.counts.items():
-            expect = _walk_cell(self.counts, self.adjacency, t, u, k)
-            if value != expect:
-                raise InvariantError(f"walk DP cell ({u},{k}) inconsistent: {value} != {expect}")
-        if self.partition != sum(self.counts.get((self.path[0], k), 0) for k in range(self.budget + 1)):
-            raise InvariantError("walk DP partition total inconsistent")
+        _verify(self, build_walk_table, self.path, self.other_edges, self.budget)
 
 
 def _walk_moves(path, other_edges) -> dict[int, tuple[Move, ...]]:
@@ -152,7 +154,7 @@ def sample_walk(table: WalkDPTable, gen: np.random.Generator) -> WalkSample:
     cost = 0
     t = table.path[-1]
     while u != t:
-        options = [(v, c, key) for v, c, key in table.moves(u) if k >= c]
+        options = [(v, c, key) for v, c, key in table.adjacency.get(u, ()) if k >= c]
         weights = [table.counts.get((v, k - c), 0) for v, c, _ in options]
         v, c, key = options[choice_weighted(gen, weights)]
         k -= c
@@ -175,14 +177,7 @@ class GroupedDPTable:
     partition: int
 
     def verify(self) -> None:
-        """Re-derive every row from the row below it, and the partition."""
-        if len(self.counts) != len(self.groups) + 1 or self.counts[-1] != _unit(self.budget):
-            raise InvariantError("group DP needs one row per group above the empty-suffix row")
-        for r, group in enumerate(self.groups):
-            if self.counts[r] != _group_row(len(group), self.counts[r + 1]):
-                raise InvariantError(f"group DP row {r} inconsistent")
-        if self.partition != sum(self.counts[0]):
-            raise InvariantError("group DP partition total inconsistent")
+        _verify(self, build_group_table, self.groups, self.reference, self.budget)
 
 
 def _group_row(size: int, below: Sequence[int]) -> tuple[int, ...]:
@@ -254,16 +249,7 @@ class TreeDPTable:
     suffixes: tuple[tuple[tuple[int, ...], ...], ...]
 
     def verify(self) -> None:
-        """Re-derive the factors, then each node's suffix products and row, and the partition."""
-        if self.factors != tuple(_child_factor(row) for row in self.counts):
-            raise InvariantError("tree DP factors inconsistent with the counts")
-        for u in range(len(self.parent)):
-            expect = _suffix_products(self.children[u], self.factors, self.budget)
-            row = _tree_row(expect[0], 0 if u in self.reference else 1, self.budget)
-            if self.counts[u] != row or self.suffixes[u] != expect:
-                raise InvariantError(f"tree DP row {u} inconsistent")
-        if self.partition != sum(self.counts[self.root]):
-            raise InvariantError("tree DP partition total inconsistent")
+        _verify(self, build_tree_table, self.parent, self.root, self.reference, self.budget)
 
 
 def _child_factor(row: Sequence[int]) -> tuple[int, ...]:

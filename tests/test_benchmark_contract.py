@@ -8,10 +8,13 @@ change nothing in it.
 """
 
 import hashlib
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -134,3 +137,21 @@ def test_calibrate_builds_one_order_per_context(monkeypatch, tmp_path):
         wl.op(i)
     assert cls.fixed_ops == 14
     assert len(built) == 2
+
+
+def test_corruption_checks_pass(tmp_path):
+    # selftest.corruption_checks: every table passes verify(), and each seeded
+    # corruption counts as a failed op; in a child, because importing run.py
+    # sets the thread variables of its process
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "from pathlib import Path\n"
+        "import selftest\n"
+        f"print(repr(selftest.corruption_checks(Path({str(tmp_path)!r}))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout

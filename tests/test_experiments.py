@@ -143,6 +143,31 @@ def test_trip_config_validation():
             xp.TripPlanConfig(**bad)
 
 
+# sizes that would corrupt the draws: a negative n_train makes the test slice
+# take training samples, a negative n_test empties the test split, a negative
+# bypass draws grid edge ids past n, and empty groups divide by zero or draw
+# from an empty range
+@pytest.mark.parametrize("config, bad", [
+    (xp.TripPlanConfig, {"n_train": -3}),
+    (xp.TripPlanConfig, {"n_test": -1}),
+    (xp.TripPlanConfig, {"groups": 0}),
+    (xp.TripPlanConfig, {"groups": -1}),
+    (xp.TripPlanConfig, {"group_size": 0}),
+    (xp.GridRoutingConfig, {"n_train": -2}),
+    (xp.GridRoutingConfig, {"n_test": -1}),
+    (xp.GridRoutingConfig, {"bypass_len": -1}),
+])
+def test_config_sizes_checked(config, bad):
+    (name, value), = bad.items()
+    with pytest.raises(InputError, match=f"{name} must be >= .*, got {value}"):
+        config(**bad)
+
+
+def test_config_empty_splits_and_bypass_accepted():
+    assert xp.gen_grid_routes(xp.GridRoutingConfig(bypass_len=0, n_test=0), 0).test == ()
+    assert xp.gen_trip_samples(xp.TripPlanConfig(n_train=0, n_test=3), 0).train == ()
+
+
 def test_trip_core_layout():
     cfg = xp.TripPlanConfig()
     assert cfg.core_per_group == 4
@@ -373,6 +398,11 @@ CSV_SHA256 = {
     "trip": "a6c7a487a0571d3f9c792792012eca5990fc233629debbc9ebcbb74b3719f0ea",
     "grid": "3c8063e509ddfe1baec6a204b098f15407b64f1c2e25858e583ef903a190eb51",
 }
+
+
+def test_comparison_kind_checked_without_seeds():
+    with pytest.raises(InputError, match="unknown comparison kind 'bogus'"):
+        xp.comparison_rows("bogus", [], xp.default_phi_grid())
 
 
 @pytest.mark.parametrize("kind", sorted(CSV_SHA256))

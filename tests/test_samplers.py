@@ -86,7 +86,7 @@ def test_walk_verify_detects_tampering():
     # the dict itself is reachable; corrupt a cell off the source, so that
     # the partition still agrees
     table.counts[(1, 1)] += 1
-    with pytest.raises(InvariantError, match="cell"):
+    with pytest.raises(InvariantError, match="counts"):
         table.verify()
 
 
@@ -95,7 +95,7 @@ def test_walk_verify_detects_tampered_moves():
     # the counts still match: only the edge key of vertex 0's free move is wrong
     moves = {**good.adjacency, 0: ((1, 0, ("path", 0)), (2, 1, ("free", 1)))}
     assert moves != good.adjacency
-    with pytest.raises(InvariantError, match="moves"):
+    with pytest.raises(InvariantError, match="adjacency"):
         dataclasses.replace(good, adjacency=moves).verify()
 
 
@@ -146,7 +146,7 @@ def test_group_verify_detects_tampering():
     good = build_group_table([(0, 1, 2)], (0,), 1)
     assert good.counts == ((1, 2), (1, 0))
     bad = dataclasses.replace(good, counts=((2, 1),) + good.counts[1:])  # same partition
-    with pytest.raises(InvariantError, match="row 0"):
+    with pytest.raises(InvariantError, match="counts"):
         bad.verify()
 
 
@@ -230,7 +230,7 @@ def test_tree_verify_detects_tampering():
     bad = dataclasses.replace(
         good, counts=((3, 3, 3),) + good.counts[1:], factors=((4, 3, 3),) + good.factors[1:]
     )
-    with pytest.raises(InvariantError, match="row 0"):
+    with pytest.raises(InvariantError, match="counts"):
         bad.verify()
 
 
@@ -247,8 +247,48 @@ def test_tree_verify_detects_tampered_suffixes():
     assert good.children[0] == (1, 4) and good.suffixes[0][1] == (1, 1, 0)
     root_suffixes = (good.suffixes[0][0], (1, 0, 1), good.suffixes[0][2])
     bad = dataclasses.replace(good, suffixes=(root_suffixes,) + good.suffixes[1:])
-    with pytest.raises(InvariantError, match="row 0"):
+    with pytest.raises(InvariantError, match="suffixes"):
         bad.verify()
+
+
+def _walk_with_counts(free, budget, edit):
+    table = build_walk_table(PATH, free, budget)
+    counts = dict(table.counts)
+    edit(counts)
+    return dataclasses.replace(table, counts=counts)
+
+
+def _inconsistent_tables():
+    # each table below agrees with every recurrence over its own stored cells,
+    # rows and children, but not with a rebuild from its input fields
+    yield pytest.param(
+        _walk_with_counts(FREE, 1, lambda c: c.update({(0, 2): 1})),  # the value the recurrence gives
+        "counts", id="walk cell beyond the budget",
+    )
+    yield pytest.param(
+        _walk_with_counts(FREE + ((2, 4),), 1, lambda c: c.pop((4, 1))),
+        "counts", id="walk cell that no stored cell reads",
+    )
+    # with reference 7 outside the group, a draw would pick among all three at cost 1
+    group = build_group_table([(0, 1, 2)], (0,), 1)
+    yield pytest.param(
+        dataclasses.replace(group, reference=(7,)), "do not build", id="group reference outside its group"
+    )
+    tree = build_tree_table(TREE_PARENT, 0, TREE_REF, 2)
+    yield pytest.param(
+        dataclasses.replace(tree, parent=(0, 0, 0, 1, 0)), "children", id="tree parent without its children"
+    )
+    for table in (build_walk_table(PATH, FREE, 1), group, tree):
+        yield pytest.param(
+            dataclasses.replace(table, budget=-1), "do not build",
+            id=f"{type(table).__name__} with a negative budget",
+        )
+
+
+@pytest.mark.parametrize("table, message", list(_inconsistent_tables()))
+def test_verify_rebuilds_from_the_input_fields(table, message):
+    with pytest.raises(InvariantError, match=message):
+        table.verify()
 
 
 def test_sampling_deterministic_per_stream():

@@ -12,8 +12,9 @@ return ``(results, order)``; reverse greedy's order is its deletion order.
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -37,14 +38,17 @@ def _normalize(train: Iterable, eval_samples: Iterable) -> tuple[list[frozenset[
 
 
 def _prefix_results(
-    order: Sequence[int], eval_samples: Sequence[frozenset[int]], targets: Sequence
+    order: Sequence[int], eval_samples: Sequence, targets: Sequence, sizes: Sequence[int] = ()
 ) -> dict[Fraction, GreedyResult]:
+    """Per target, the shortest prefix of ``order`` reaching it, rounded up
+    to the first of the ascending ``sizes`` at or above it, if any."""
     counts = prefix_cover_counts(order, eval_samples)
     m = len(eval_samples)
     results: dict[Fraction, GreedyResult] = {}
     for raw in targets:
         phi = unit_fraction(raw, "phi")
         k = shortest_prefix(counts, math.ceil(phi * m))
+        k = next((s for s in sizes if s >= k), k)
         results[phi] = GreedyResult(frozenset(order[:k]), Fraction(counts[k], m))
     return results
 
@@ -66,20 +70,37 @@ def reverse_greedy(
     targets: Sequence,
     n_vertices: int,
 ) -> tuple[dict[Fraction, GreedyResult], tuple[int, ...]]:
-    alive, eval_samples = _normalize(train, eval_samples)
-    current = set(range(n_vertices))
-    intensity = Counter(v for s in alive for v in s)
+    train, eval_samples = _normalize(train, eval_samples)
+    index: defaultdict[int, list[int]] = defaultdict(list)  # id -> samples holding it
+    for i, s in enumerate(train):
+        for v in s:
+            index[v].append(i)
+    # each sample's holders in [0, n), indexed once; ids outside never peel
+    holders = [index.get(v, []) for v in range(n_vertices)]
+    members: list[list[int]] = [[] for _ in train]
+    for v, held in enumerate(holders):
+        for i in held:
+            members[i].append(v)
+    intensity = [len(held) for held in holders]
+    # an entry whose intensity has since dropped waits in the heap behind the
+    # vertex's current one, and is skipped when popped
+    heap = [(count, -v) for v, count in enumerate(intensity)]
+    heapq.heapify(heap)
+    dead = [False] * len(train)  # a sample dies with its first deleted vertex
+    deleted = [False] * len(holders)
     deletion: list[int] = []
-    while current:
-        v = min(current, key=lambda u: (intensity[u], -u))
-        current.remove(v)
+    while heap:
+        count, v = heapq.heappop(heap)
+        v = -v
+        if deleted[v] or count != intensity[v]:
+            continue
+        deleted[v] = True
         deletion.append(v)
-        kept = []
-        for s in alive:
-            if v in s:
-                for u in s:
+        for i in holders[v]:
+            if not dead[i]:
+                dead[i] = True
+                for u in members[i]:
                     intensity[u] -= 1
-            else:
-                kept.append(s)
-        alive = kept
+                    if not deleted[u]:
+                        heapq.heappush(heap, (intensity[u], -u))
     return _prefix_results(deletion[::-1], eval_samples, targets), tuple(deletion)

@@ -10,13 +10,14 @@ the same seed is bit-identical and train/test splits never share a stream.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .baselines import GreedyResult, forward_greedy, reverse_greedy
+from .baselines import GreedyResult, _prefix_results, forward_greedy, reverse_greedy
 from .chain import _sample_chain, nested_chain
 from .compress import _check_kappa, select
 from .hypergraph import (
@@ -25,10 +26,7 @@ from .hypergraph import (
     WeightedHypergraph,
     as_fraction,
     check_vertex_ids,
-    prefix_cover_counts,
     rational_to_text as text,
-    shortest_prefix,
-    unit_fraction,
 )
 from .io import ResultRow
 from .rng import _first_integers, _first_random, first_words, stream
@@ -56,8 +54,17 @@ def default_phi_grid() -> tuple[Fraction, ...]:
     return tuple(Fraction(j, 20) for j in range(1, 21))
 
 
+def _check_ints(cfg, *names: str) -> None:
+    """InputError unless each named field of ``cfg`` is an int, not a bool."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(f"{name} must be an int, got {value!r}")
+
+
 def _check_at_least(cfg, low: int, *names: str) -> None:
-    """InputError unless each named field of ``cfg`` is at least ``low``."""
+    """InputError unless each named field of ``cfg`` is an int of at least ``low``."""
+    _check_ints(cfg, *names)
     for name in names:
         value = getattr(cfg, name)
         if value < low:
@@ -78,10 +85,15 @@ class GridRoutingConfig:
     n_test: int = 50
 
     def __post_init__(self):
+        _check_ints(self, "side")
         if self.side < 2:
             raise InputError(f"grid needs side >= 2, got {self.side}")
         if not 0 <= self.bypass_share <= 1:
             raise InputError(f"bypass share must lie in [0, 1], got {self.bypass_share}")
+        if not self.weight_low <= self.weight_high:
+            raise InputError(
+                f"weight_low must be <= weight_high, got {self.weight_low} > {self.weight_high}"
+            )
         _check_at_least(self, 0, "bypass_len", "n_train", "n_test")
 
     @property
@@ -257,14 +269,7 @@ def chain_cover(
     if not test:
         raise InputError("evaluation sample set must be nonempty")
     ch, order = _sample_chain(n, train)
-    counts = prefix_cover_counts(order, test)
-    out: dict[Fraction, GreedyResult] = {}
-    for raw in phi_grid:
-        phi = unit_fraction(raw, "phi")
-        k = shortest_prefix(counts, math.ceil(phi * len(test)))  # rounded up to a chain set
-        k = next((len(s) for s in ch.sets if len(s) >= k), k)
-        out[phi] = GreedyResult(frozenset(order[:k]), Fraction(counts[k], len(test)))
-    return out
+    return _prefix_results(order, test, phi_grid, [len(s) for s in ch.sets])
 
 
 def run_comparison(
@@ -343,13 +348,13 @@ def adversarial_rows(a: int, b: int, eps, kappa, seeds: Sequence[int]) -> list[R
     sel = select(chain, tau, kappa)
     samples = [e.vertices for e in h.edges]
     # reverse greedy peels by edge count; its coverage is measured by mass:
-    # it keeps the deepest peel state whose survivors hold tau of the mass
-    need = tau * h.total_weight
-    rev = frozenset(range(h.n))
-    for v in reverse_greedy(samples, samples, [], h.n)[1]:
-        if h.induced_weight(rev - {v}) < need:
-            break
-        rev -= {v}
+    # it keeps the deepest peel state whose survivors hold tau of the mass:
+    # the shortest such prefix of the reversed deletion order, found by
+    # bisection, as survivor mass never falls as the prefix grows
+    order = reverse_greedy(samples, samples, [], h.n)[1][::-1]
+    k = bisect_left(range(h.n + 1), tau * h.total_weight,
+                    key=lambda k: h.induced_weight(frozenset(order[:k])))
+    rev = frozenset(order[:k])
     cov_chain = 1 - sel.residual / h.total_weight
     cov_rev = h.induced_weight(rev) / h.total_weight
     rows = []

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +21,17 @@ def child_env(env=None) -> dict[str, str]:
     root = str(Path(chaincover.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     return env
+
+
+def run_child(code: str, env=None, timeout=60) -> str:
+    """Run ``code`` in a fresh interpreter under ``env`` (default: ``child_env()``).
+
+    Asserts that it exits 0, with its stderr as the message; returns its stdout.
+    """
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env() if env is None else env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture

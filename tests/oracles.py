@@ -189,6 +189,23 @@ def fixed_order_reference(
 # ---------------------------------------------------------------- vertex-order selectors
 
 
+def reverse_peel_reference(train: Sequence[frozenset[int]], n_vertices: int) -> tuple[int, ...]:
+    """Reverse greedy's deletion order, rescanning every surviving sample per step.
+
+    Repeatedly deletes the vertex of [0, n) on the fewest surviving training
+    samples, ties by descending id; the samples holding it stop surviving.
+    """
+    alive = list(train)
+    current = set(range(n_vertices))
+    deletion: list[int] = []
+    while current:
+        v = min(current, key=lambda u: (sum(1 for s in alive if u in s), -u))
+        current.remove(v)
+        deletion.append(v)
+        alive = [s for s in alive if v not in s]
+    return tuple(deletion)
+
+
 def covered(samples: Iterable[frozenset[int]], kept: Iterable[int]) -> int:
     """Number of samples lying inside ``kept``."""
     kept = frozenset(kept)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,6 +7,9 @@ import pytest
 from chaincover import InputError, forward_greedy, reverse_greedy
 from chaincover.hypergraph import prefix_cover_counts
 from chaincover.rng import stream
+
+from conftest import run_child
+from oracles import reverse_peel_reference
 
 P1, P2, P3 = frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5, 6})
 TRAIN = [P1] * 3 + [P2] * 3 + [P3] * 4
@@ -101,3 +105,30 @@ def test_deterministic_given_inputs():
     c = reverse_greedy(train, eval_samples, ["0.5"], 6)
     d = reverse_greedy(train, eval_samples, ["0.5"], 6)
     assert c == d
+
+
+def test_reverse_peel_matches_the_rescanning_reference():
+    # ids outside [0, n) keep a sample alive but never peel; duplicate and
+    # empty samples count as drawn
+    gen = stream(7100)
+    for _ in range(1000):
+        n = int(gen.integers(0, 9))
+        train = [frozenset(int(v) for v in gen.integers(-2, n + 3, size=int(gen.integers(0, 4))))
+                 for _ in range(int(gen.integers(0, 12)))]
+        train += train[:int(gen.integers(0, 3))]
+        assert reverse_greedy(train, [frozenset()], [], n)[1] == reverse_peel_reference(train, n)
+
+
+def test_reverse_peel_at_n_100000():
+    # the rescanning peel took about 3 s at n = 4,000 and grows as n squared;
+    # the vertices on no sample go first, by descending id
+    train = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2}), frozenset({0, 1, 2})]
+    code = (
+        "import json\n"
+        "from chaincover import reverse_greedy\n"
+        f"order = reverse_greedy({train!r}, [frozenset()], [], 100000)[1]\n"
+        "print(json.dumps([order[:-3] == tuple(range(99999, 2, -1)), order[-3:]]))\n"
+    )
+    zeros_first, tail = json.loads(run_child(code, timeout=60))
+    assert zeros_first
+    assert tuple(tail) == reverse_peel_reference(train, 3)

@@ -8,13 +8,12 @@ change nothing in it.
 """
 
 import hashlib
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import child_env
+from conftest import run_child
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -150,8 +149,5 @@ def test_corruption_checks_pass(tmp_path):
         "import selftest\n"
         f"print(repr(selftest.corruption_checks(Path({str(tmp_path)!r}))))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+    stdout = run_child(code, timeout=120)
+    assert stdout.splitlines()[-1] == "[]", stdout

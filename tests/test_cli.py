@@ -30,7 +30,7 @@ from chaincover.io import (
     save_instance,
 )
 
-from conftest import child_env
+from conftest import child_env, run_child
 
 @pytest.fixture
 def runner():
@@ -363,6 +363,27 @@ def test_adversarial_default_run_unchanged(tmp_path):
     )
 
 
+def test_adversarial_run_at_path_len_100000(tmp_path):
+    # the peel and the peel-state search once took seconds at a few thousand
+    # path vertices, and time grew with the square of a
+    out = tmp_path / "adv.csv"
+    code = (
+        "import sys\n"
+        "from chaincover.cli import main\n"
+        f"sys.argv = ['chaincover', 'experiment', 'adversarial', '--out', {str(out)!r},\n"
+        "            '--path-len', '100000', '--parallel', '3', '--seeds', '0']\n"
+        "main()\n"
+    )
+    env = child_env()
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    assert run_child(code, env, timeout=60) == f"2 rows -> {out}\n"
+    assert out.read_text() == (
+        "method,phi,size,coverage,seed\n"
+        "chain,0.8,3,0.8,0\n"
+        "reverse_greedy,0.8,100003,1,0\n"
+    )
+
+
 def test_env_seed_default(tmp_path):
     env = dict(os.environ, CHAINCOVER_SEED="41")
     proc = _run(
@@ -534,8 +555,4 @@ def test_import_loads_neither_numpy_nor_scipy():
         "import sys, chaincover, chaincover.io\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_child(code).strip() == "[]"

@@ -1,8 +1,6 @@
 """Synthetic generators and the method-comparison harness."""
 
 import hashlib
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +13,7 @@ from chaincover.compress import select
 from chaincover.hypergraph import InputError
 from chaincover.io import result_csv
 
-from conftest import child_env
+from conftest import child_env, run_child
 from oracles import monotone_path_reference, trip_samples_reference
 
 
@@ -163,6 +161,31 @@ def test_config_sizes_checked(config, bad):
         config(**bad)
 
 
+# a float size escapes as a TypeError from range or numpy, and a bool size
+# runs as 0 or 1
+@pytest.mark.parametrize("config, bad", [
+    (xp.TripPlanConfig, {"groups": 2.5}),
+    (xp.TripPlanConfig, {"group_size": 3.0}),
+    (xp.TripPlanConfig, {"n_train": True}),
+    (xp.TripPlanConfig, {"n_test": False}),
+    (xp.GridRoutingConfig, {"side": 2.5}),
+    (xp.GridRoutingConfig, {"side": True}),
+    (xp.GridRoutingConfig, {"bypass_len": 1.0}),
+    (xp.GridRoutingConfig, {"n_train": True}),
+])
+def test_config_sizes_must_be_ints(config, bad):
+    (name, value), = bad.items()
+    with pytest.raises(InputError, match=f"{name} must be an int, got {value}"):
+        config(**bad)
+
+
+def test_grid_weight_range_checked():
+    # numpy's uniform would raise its own ValueError at the first draw
+    with pytest.raises(InputError, match="weight_low must be <= weight_high, got 2.0 > 0.1"):
+        xp.GridRoutingConfig(weight_low=2.0, weight_high=0.1)
+    assert xp.gen_grid_routes(xp.GridRoutingConfig(weight_low=1.0, weight_high=1.0, n_test=1), 0).test
+
+
 def test_config_empty_splits_and_bypass_accepted():
     assert xp.gen_grid_routes(xp.GridRoutingConfig(bypass_len=0, n_test=0), 0).test == ()
     assert xp.gen_trip_samples(xp.TripPlanConfig(n_train=0, n_test=3), 0).train == ()
@@ -242,11 +265,7 @@ def test_trip_matches_per_generator_reference(config):
 def test_import_leaves_numpy_random_unloaded():
     # numpy.random, 15 ms to import, loads only once a stream is built
     code = "import sys, chaincover.experiments\nprint('numpy.random' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert run_child(code).strip() == "False"
 
 
 # ---------------------------------------------------------------- adversarial
@@ -328,11 +347,7 @@ def test_adversarial_rows_do_not_grow_with_the_common_denominator():
     )
     env = child_env()
     env["OPENBLAS_NUM_THREADS"] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    assert run_child(code, env).splitlines() == [
         "method,phi,size,coverage,seed",
         "chain,0.999999999,3,0.999999999,0",
         "reverse_greedy,0.999999999,33,1,0",

@@ -9,7 +9,7 @@ import pytest
 from chaincover import WeightedHypergraph, nested_chain
 from chaincover.flows import LagrangianCutSolver
 
-from conftest import child_env
+from conftest import child_env, run_child
 from oracles import mass_table, minimal_minimizer, phi_minimizers, random_hypergraph, zipf_hypergraph
 
 
@@ -134,11 +134,7 @@ print(json.dumps({
 
 def _run_child(code: str):
     """Run ``code`` in a fresh interpreter that imports this chaincover; its stdout as JSON."""
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return json.loads(run_child(code))
 
 
 def test_dinic_handles_huge_capacities():

@@ -5,11 +5,13 @@ two chain sets whose induced weights bracket tau * W; its vertex values are 1
 on the lower set and alpha on the gap.  ``select`` returns the smallest chain
 set whose residual mass is at most (1+kappa)*(1-tau)*W.  It never sits above
 the set that thresholding those values at rho = kappa/(1+kappa) gives, so it
-keeps that rounding's size and residual guarantees.
+keeps that rounding's size and residual guarantees.  Each reader finds its
+level by one bisection: along the chain the induced weights and the sets grow.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,19 +76,18 @@ def fractional_solution(chain: NestedChain, tau) -> FractionalSolution:
     induced = chain.induced
     if target > induced[-1]:
         raise InputError(f"target mass {target} exceeds reachable mass {induced[-1]}")
-    # exact hit on a chain set: degenerate mix with alpha = 0
-    for j, e in enumerate(induced):
-        if e == target:
-            lam = chain.breakpoints[j - 1] if j >= 1 else Fraction(0)
-            return FractionalSolution(j, j, Fraction(0), lam, Fraction(len(chain.sets[j])), target)
-    if induced[0] > target:
+    j = bisect_left(induced, target)
+    if induced[j] == target:
+        # exact hit on a chain set: degenerate mix with alpha = 0
+        lam = chain.breakpoints[j - 1] if j >= 1 else Fraction(0)
+        return FractionalSolution(j, j, Fraction(0), lam, Fraction(len(chain.sets[j])), target)
+    if j == 0:
         # mass attached to no vertex already over-covers; the LP optimum is empty
         return FractionalSolution(0, 0, Fraction(0), Fraction(0), Fraction(0), target)
-    j = max(i for i, e in enumerate(induced) if e < target)
-    lo, hi = chain.sets[j], chain.sets[j + 1]
-    alpha = (target - induced[j]) / (induced[j + 1] - induced[j])
+    lo, hi = chain.sets[j - 1], chain.sets[j]
+    alpha = (target - induced[j - 1]) / (induced[j] - induced[j - 1])
     objective = len(lo) + alpha * (len(hi) - len(lo))
-    return FractionalSolution(j, j + 1, alpha, chain.breakpoints[j], objective, target)
+    return FractionalSolution(j - 1, j, alpha, chain.breakpoints[j - 1], objective, target)
 
 
 def select(chain: NestedChain, tau, kappa) -> Selection:
@@ -94,10 +95,10 @@ def select(chain: NestedChain, tau, kappa) -> Selection:
     tau = unit_fraction(tau, "coverage target")
     kappa = _check_kappa(kappa)
     bound = (1 + kappa) * (1 - tau) * chain.total
-    for index, r in enumerate(chain.residuals):
-        if r <= bound:
-            return Selection(index, chain.sets[index], r, bound)
-    raise InputError(f"no chain set meets residual bound {bound}")  # r_k = 0 <= bound
+    index = bisect_left(chain.induced, chain.total - bound)  # residual W - e <= bound
+    if index == len(chain.sets):  # only a loaded chain's top set leaves mass uncovered
+        raise InputError(f"no chain set meets residual bound {bound}")
+    return Selection(index, chain.sets[index], chain.total - chain.induced[index], bound)
 
 
 def tau_threshold(chain: NestedChain, b: frozenset[int], kappa) -> Fraction:
@@ -110,12 +111,10 @@ def tau_threshold(chain: NestedChain, b: frozenset[int], kappa) -> Fraction:
     Either way this infimum is the calibration score.
     """
     kappa = _check_kappa(kappa)
-    b = frozenset(b)
-    if not b:
+    j = bisect_left(chain.sets, True, key=frozenset(b).issubset)  # the first set holding b
+    if j == 0:  # b is empty
         return Fraction(0)
-    if not b <= chain.sets[-1]:
+    if j == len(chain.sets):
         return Fraction(1)
-    j = next(i for i, s in enumerate(chain.sets) if b <= s)
-    prev_residual = chain.residuals[j - 1]
-    value = 1 - prev_residual / ((1 + kappa) * chain.total)
+    value = 1 - (chain.total - chain.induced[j - 1]) / ((1 + kappa) * chain.total)
     return max(Fraction(0), value)

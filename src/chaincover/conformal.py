@@ -21,6 +21,7 @@ row, share one chain and one order (``chain._sample_chain`` keeps the last).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -161,10 +162,8 @@ def predict(chain: NestedChain, state: CalibrationState) -> frozenset[int]:
     guarantee outright.
     """
     bound = (1 + state.kappa) * (1 - state.tau_star) * chain.total
-    for index, r in enumerate(chain.residuals):
-        if r < bound:
-            return chain.sets[index]
-    return chain.sets[-1]
+    # the first set with residual W - e < bound
+    return chain.sets[min(bisect_right(chain.induced, chain.total - bound), len(chain.sets) - 1)]
 
 
 @dataclass(frozen=True)

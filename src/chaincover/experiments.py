@@ -24,6 +24,7 @@ from .hypergraph import (
     InputError,
     InvariantError,
     WeightedHypergraph,
+    _is_int,
     as_fraction,
     check_vertex_ids,
     rational_to_text as text,
@@ -58,7 +59,7 @@ def _check_ints(cfg, *names: str) -> None:
     """InputError unless each named field of ``cfg`` is an int, not a bool."""
     for name in names:
         value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise InputError(f"{name} must be an int, got {value!r}")
 
 
@@ -115,37 +116,29 @@ class GridData:
     bypass: frozenset[int]
 
 
-def _edge_id_right(cfg: GridRoutingConfig, i: int, j: int) -> int:
-    return i * (cfg.side - 1) + j
-
-
-def _edge_id_down(cfg: GridRoutingConfig, i: int, j: int) -> int:
-    return cfg.side * (cfg.side - 1) + i * cfg.side + j
-
-
 def _shortest_monotone_path(cfg: GridRoutingConfig, weights: Sequence[float]) -> frozenset[int]:
     """Min-weight right/down path, ties by lexicographically smallest id sequence.
 
+    The right edge out of node (i, j) has id i*(side-1)+j, the down edge
+    side*(side-1)+i*side+j.  One DP row holds each column's (distance, ids).
     ``weights`` is best a list of Python floats: each read of a numpy array
     builds a numpy scalar.
     """
     side = cfg.side
-    best: dict[tuple[int, int], tuple[float, tuple[int, ...]]] = {(0, 0): (0.0, ())}
-    for i in range(side):
+    row = [(0.0, ())]
+    for e in range(side - 1):  # the top row: right edges only
+        row.append((row[e][0] + weights[e], row[e][1] + (e,)))
+    for i in range(1, side):
         for j in range(side):
-            if (i, j) == (0, 0):
-                continue
-            cands = []
-            if j > 0:
-                d, seq = best[(i, j - 1)]
-                e = _edge_id_right(cfg, i, j - 1)
-                cands.append((d + weights[e], seq + (e,)))
-            if i > 0:
-                d, seq = best[(i - 1, j)]
-                e = _edge_id_down(cfg, i - 1, j)
-                cands.append((d + weights[e], seq + (e,)))
-            best[(i, j)] = min(cands)
-    return frozenset(best[(side - 1, side - 1)][1])
+            d, seq = row[j]
+            e = side * (side - 1) + (i - 1) * side + j
+            cell = (d + weights[e], seq + (e,))
+            if j:
+                d, seq = row[j - 1]
+                e = i * (side - 1) + j - 1
+                cell = min((d + weights[e], seq + (e,)), cell)
+            row[j] = cell
+    return frozenset(row[-1][1])
 
 
 def gen_grid_routes(cfg: GridRoutingConfig, seed: int) -> GridData:

@@ -46,6 +46,9 @@ _RATIONAL = re.compile(
     rf"\s*(?P<sign>[+-]?)(?=\d|\.\d)(?P<num>(?:{_DIGITS})?)"
     rf"(?:/(?P<den>{_DIGITS})|(?:\.(?P<dec>(?:{_DIGITS})?))?(?:[eE](?P<exp>[+-]?{_DIGITS}))?)\s*"
 )
+# |exponent| above Python's default int/str digit limit is refused: 10**exp
+# is built in full, so 1e100000000 would take minutes; 1e4300 is instant
+_MAX_EXPONENT = 4300
 
 
 def rational_to_text(x: Fraction) -> str:
@@ -59,7 +62,7 @@ def rational_from_text(text: str) -> Fraction:
     """``Fraction(text)`` with digit strings of any length.
 
     The digits pass through Decimal, as in ``rational_to_text``; an exponent
-    is read as ``Fraction`` reads it.
+    is read as ``Fraction`` reads it, up to ``_MAX_EXPONENT`` in magnitude.
     """
     m = _RATIONAL.fullmatch(text)
     if m is None:
@@ -69,12 +72,18 @@ def rational_from_text(text: str) -> Fraction:
     numerator = int(Decimal(num + dec))  # Decimal reads the underscores itself
     denominator = int(Decimal(den)) if den else 10 ** len(dec)
     if exp:
-        exp = int(exp)
+        if abs(exp := int(exp)) > _MAX_EXPONENT:
+            raise ValueError(f"exponent magnitude exceeds {_MAX_EXPONENT}")
         if exp >= 0:
             numerator *= 10**exp
         else:
             denominator *= 10**-exp
     return Fraction(-numerator if sign == "-" else numerator, denominator)
+
+
+def _is_int(value: object) -> bool:
+    """An int, not a bool: the one int rule of every input check."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def as_fraction(value) -> Fraction:
@@ -87,7 +96,7 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise InputError(f"float {value!r} is not exact; pass a string such as '3/10' or a Fraction")
     try:
-        if isinstance(value, int) and not isinstance(value, bool):
+        if _is_int(value):
             return Fraction(value)
         if isinstance(value, str):
             return rational_from_text(value)
@@ -105,12 +114,14 @@ def unit_fraction(value, what: str) -> Fraction:
 
 
 def check_vertex_ids(n: int, vertex_sets: Iterable[Iterable[int]]) -> None:
-    """Every vertex of every set is an int (not a bool) in [0, n), and n >= 0."""
+    """Every vertex of every set is an int (not a bool) in [0, n), and n is an int >= 0."""
+    if not _is_int(n):
+        raise InputError(f"vertex count must be an int, got {n!r}")
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
     for vs in vertex_sets:
         for v in vs:
-            if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
+            if not _is_int(v) or not (0 <= v < n):
                 raise InputError(f"vertex id {v!r} outside [0, {n})")
 
 

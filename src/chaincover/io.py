@@ -22,6 +22,7 @@ from .chain import NestedChain
 from .hypergraph import (
     InputError,
     WeightedHypergraph,
+    _is_int,
     as_fraction,
     check_vertex_ids,
     rational_to_text as text,
@@ -55,10 +56,6 @@ class ResultRow:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _frac(value: object, where: str) -> Fraction:

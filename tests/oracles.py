@@ -19,8 +19,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from chaincover import NestedChain, Selection, WeightedHypergraph, as_fraction, fractional_solution
+from chaincover import (
+    CalibrationState,
+    FractionalSolution,
+    InputError,
+    NestedChain,
+    Selection,
+    WeightedHypergraph,
+    as_fraction,
+    fractional_solution,
+)
 from chaincover.compress import _check_kappa
+from chaincover.hypergraph import unit_fraction
 from chaincover.rng import stream
 
 
@@ -157,6 +167,82 @@ def round_fractional(chain: NestedChain, tau, kappa) -> Selection:
     index = frac.upper_index if frac.alpha >= rho else frac.lower_index
     bound = (1 + kappa) * (1 - as_fraction(tau)) * chain.total
     return Selection(index, chain.sets[index], chain.residuals[index], bound)
+
+
+# ---------------------------------------------------------------- chain readers
+# Readers that scan the chain level by level; ``fractional_solution``,
+# ``select``, ``tau_threshold`` and ``predict`` find the same level by bisection.
+
+
+def fractional_solution_scan(chain: NestedChain, tau) -> FractionalSolution:
+    tau = unit_fraction(tau, "coverage target")
+    target = tau * chain.total
+    induced = chain.induced
+    if target > induced[-1]:
+        raise InputError(f"target mass {target} exceeds reachable mass {induced[-1]}")
+    # exact hit on a chain set: degenerate mix with alpha = 0
+    for j, e in enumerate(induced):
+        if e == target:
+            lam = chain.breakpoints[j - 1] if j >= 1 else Fraction(0)
+            return FractionalSolution(j, j, Fraction(0), lam, Fraction(len(chain.sets[j])), target)
+    if induced[0] > target:
+        # mass attached to no vertex already over-covers; the LP optimum is empty
+        return FractionalSolution(0, 0, Fraction(0), Fraction(0), Fraction(0), target)
+    j = max(i for i, e in enumerate(induced) if e < target)
+    lo, hi = chain.sets[j], chain.sets[j + 1]
+    alpha = (target - induced[j]) / (induced[j + 1] - induced[j])
+    objective = len(lo) + alpha * (len(hi) - len(lo))
+    return FractionalSolution(j, j + 1, alpha, chain.breakpoints[j], objective, target)
+
+
+def select_scan(chain: NestedChain, tau, kappa) -> Selection:
+    """Smallest chain set with residual mass <= (1+kappa)*(1-tau)*W."""
+    tau = unit_fraction(tau, "coverage target")
+    kappa = _check_kappa(kappa)
+    bound = (1 + kappa) * (1 - tau) * chain.total
+    for index, r in enumerate(chain.residuals):
+        if r <= bound:
+            return Selection(index, chain.sets[index], r, bound)
+    raise InputError(f"no chain set meets residual bound {bound}")  # r_k = 0 <= bound
+
+
+def tau_threshold_scan(chain: NestedChain, b: frozenset[int], kappa) -> Fraction:
+    """Smallest coverage target whose selection first contains ``b``.
+
+    Returns 1 when b is not contained even in the top chain set.  Under
+    ``select``'s non-strict residual rule the containment region is the open
+    interval above the returned value; under the boundary-inclusive
+    prediction rule the region is closed and the returned value is attained.
+    Either way this infimum is the calibration score.
+    """
+    kappa = _check_kappa(kappa)
+    b = frozenset(b)
+    if not b:
+        return Fraction(0)
+    if not b <= chain.sets[-1]:
+        return Fraction(1)
+    j = next(i for i, s in enumerate(chain.sets) if b <= s)
+    prev_residual = chain.residuals[j - 1]
+    value = 1 - prev_residual / ((1 + kappa) * chain.total)
+    return max(Fraction(0), value)
+
+
+def predict_scan(chain: NestedChain, state: CalibrationState) -> frozenset[int]:
+    """Calibrated vertex set for a new context's candidate chain.
+
+    Uses the boundary-inclusive reading of the residual rule: the smallest
+    chain set whose residual is strictly below (1+kappa)(1-tau*)W, falling
+    back to the top set when the bound is zero.  At the knife edge this sits
+    one level above ``select``, which makes a truth scoring exactly tau*
+    covered; scores are heavily tied there (every level-1 entry scores
+    kappa/(1+kappa)), so the open-boundary rule would forfeit the conformal
+    guarantee outright.
+    """
+    bound = (1 + state.kappa) * (1 - state.tau_star) * chain.total
+    for index, r in enumerate(chain.residuals):
+        if r < bound:
+            return chain.sets[index]
+    return chain.sets[-1]
 
 
 def fixed_order_reference(

@@ -487,6 +487,38 @@ def test_bad_rational_list_is_an_input_error(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "grid.csv").exists()
 
 
+def _main_in_child(args) -> str:
+    """stdout and stderr of ``cli.main`` on ``args`` in a child with a 20 s timeout,
+    then its exit code."""
+    code = (
+        "import sys\n"
+        "from chaincover.cli import main\n"
+        f"sys.argv = {['chaincover', *args]!r}\n"
+        "sys.stderr = sys.stdout\n"
+        "try:\n"
+        "    main()\n"
+        "except SystemExit as stop:\n"
+        "    print('exit', stop.code)\n"
+    )
+    return run_child(code, timeout=20)
+
+
+def test_huge_exponents_are_input_errors_at_once(tmp_path, instance_file):
+    # 10**exp would be built in full; the 20 s timeout shows both fail at once
+    out = _main_in_child(["compress", instance_file, "--tau", "1e-100000000"])
+    assert out == ("input error: cannot interpret '1e-100000000' as an exact rational: "
+                   "exponent magnitude exceeds 4300\nexit 1\n")
+    chain_file = tmp_path / "huge.json"
+    chain_file.write_text(json.dumps({
+        "sets": [[], [0]],
+        "breakpoints": ["1e100000000"],
+        "stats": [{"induced": "0"}, {"induced": "1", "residual": "0"}],
+    }))
+    out = _main_in_child(["compress", str(chain_file), "--tau", "1/2"])
+    assert out == (f"input error: chain {chain_file}: cannot interpret '1e100000000' as an "
+                   "exact rational: exponent magnitude exceeds 4300\nexit 1\n")
+
+
 def test_compress_past_a_loaded_top_set_is_an_input_error(monkeypatch, capsys,
                                                           short_top_chain_file):
     # at tau = 1 the bound is 0, and the loaded top set leaves residual 1

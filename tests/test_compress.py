@@ -4,18 +4,31 @@ import numpy as np
 import pytest
 
 from chaincover import (
+    CalibrationState,
     InputError,
     InvariantError,
     Selection,
     WeightedHypergraph,
     fractional_solution,
     nested_chain,
+    predict,
     select,
     tau_threshold,
 )
 from chaincover.io import load_chain
 
-from oracles import exact_min_size, mass_table, phi_minimizers, random_hypergraph, round_fractional
+from oracles import (
+    exact_min_size,
+    fractional_solution_scan,
+    mass_table,
+    phi_minimizers,
+    predict_scan,
+    random_hypergraph,
+    round_fractional,
+    select_scan,
+    tau_threshold_scan,
+    zipf_hypergraph,
+)
 
 
 def test_skewed_chain_frozen(skewed_instance):
@@ -196,3 +209,55 @@ def test_tau_threshold_matches_scan(seed):
             for g in grid:
                 contained = target <= select(chain, g, kappa).vertex_set
                 assert contained == (g > t), (g, t)
+
+
+def _outcome(reader, *args):
+    """What ``reader`` returns, or the type and message of what it raises."""
+    try:
+        return reader(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _reader_chains(family, short_top_chain_file):
+    if family == "random":
+        rng = np.random.default_rng(3300)
+        return [nested_chain(random_hypergraph(rng, 6, 7)) for _ in range(150)]
+    if family == "zipf":
+        return [nested_chain(zipf_hypergraph(3400 + seed, 16, 40, dens=range(2, 8)))
+                for seed in range(40)]
+    return [
+        load_chain(short_top_chain_file),  # its top set leaves mass 1 of W = 2 uncovered
+        nested_chain(WeightedHypergraph.build(1, [(frozenset(), "1/2"), ({0}, "1/2")])),
+        nested_chain(WeightedHypergraph.build(3, [({0, 1}, 0), ({2}, 0)])),  # W = 0
+    ]
+
+
+@pytest.mark.parametrize("family", ["random", "zipf", "hand-made"])
+def test_bisecting_readers_match_the_level_scans(family, short_top_chain_file):
+    # each reader finds its level by one bisection and must give what its
+    # level scan in tests/oracles.py gives, answer or error, on the grid and at
+    # every chain level's own coverage and residual knife edge
+    kappas = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3))
+    grid = [Fraction(j, 40) for j in range(41)]
+    chains = _reader_chains(family, short_top_chain_file)
+    if family == "hand-made":  # the loaded short top meets no bound at tau = 1
+        assert _outcome(select, chains[0], 1, 1) == (InputError, "no chain set meets residual bound 0")
+    for chain in chains:
+        w = chain.total
+        levels = [e / w for e in chain.induced if w and 0 <= e <= w]
+        for kappa in kappas:
+            edges = [1 - (w - e) / ((1 + kappa) * w) for e in chain.induced if w]
+            for tau in grid + levels + [t for t in edges if 0 <= t <= 1]:
+                state = CalibrationState(0.0, tau, Fraction(1, 2), Fraction(1, 20), kappa, ())
+                assert _outcome(select, chain, tau, kappa) == _outcome(select_scan, chain, tau, kappa)
+                assert predict(chain, state) == predict_scan(chain, state)
+            n = max(chain.sets[-1], default=0) + 1
+            others = [frozenset(), frozenset({0}), frozenset({n}), chain.sets[-1] | {n},
+                      chain.sets[-1] - {n - 1}, frozenset(range(n + 1))]
+            for b in list(chain.sets) + others:
+                assert _outcome(tau_threshold, chain, b, kappa) == \
+                    _outcome(tau_threshold_scan, chain, b, kappa)
+        for tau in grid + levels:
+            assert _outcome(fractional_solution, chain, tau) == \
+                _outcome(fractional_solution_scan, chain, tau)

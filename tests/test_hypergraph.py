@@ -5,8 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from chaincover import Hyperedge, InputError, LagrangianCutSolver, WeightedHypergraph, as_fraction
-from chaincover.hypergraph import prefix_cover_counts, rational_from_text
+from chaincover import (
+    Hyperedge,
+    InputError,
+    LagrangianCutSolver,
+    WeightedHypergraph,
+    as_fraction,
+    fixed_context_fit,
+)
+from chaincover.experiments import chain_cover
+from chaincover.hypergraph import check_vertex_ids, prefix_cover_counts, rational_from_text
+
+from conftest import run_child
 
 
 def test_as_fraction_exact_forms():
@@ -47,6 +57,26 @@ def test_build_rejects_bad_input():
         WeightedHypergraph.build(3, [({0}, True)])
     with pytest.raises(InputError):
         Hyperedge(frozenset({0}), Fraction(-1))
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3", None])
+def test_vertex_count_must_be_an_int(n):
+    # a float or bool n is refused before anything is built or ranged over
+    message = f"vertex count must be an int, got {n!r}"
+    with pytest.raises(InputError) as caught:
+        WeightedHypergraph.build(n, [])
+    assert str(caught.value) == message
+    for call in (
+        lambda: check_vertex_ids(n, [[0]]),
+        lambda: fixed_context_fit([frozenset({0})] * 4, "1/2", n),
+        lambda: chain_cover(n, [frozenset({0})], [frozenset({0})], ["1/2"]),
+    ):
+        with pytest.raises(InputError) as caught:
+            call()
+        assert str(caught.value) == message
+    with pytest.raises(InputError) as caught:
+        WeightedHypergraph.build(-1, [])
+    assert str(caught.value) == "vertex count must be non-negative, got -1"
 
 
 def test_duplicate_edges_accumulate():
@@ -123,6 +153,27 @@ def test_rational_text_reads_what_fraction_reads(text):
             rational_from_text(text)
     else:
         assert rational_from_text(text) == want
+
+
+def test_exponents_past_the_int_str_digit_limit_are_refused_at_once():
+    assert as_fraction("1e4300") == 10**4300
+    assert as_fraction("-2.5e-4300") == Fraction(-25, 10**4301)
+    assert as_fraction("1" * 5000 + "e2") == (10**5000 - 1) // 9 * 100  # digits of any length
+    with pytest.raises(InputError, match="exponent magnitude exceeds 4300"):
+        as_fraction("1e4301")
+    # 10**exp would be built in full; a child with a timeout shows these fail at once
+    huge = ["1e-100000000", "1e100000000"]
+    code = (
+        "from chaincover import InputError, as_fraction\n"
+        f"for text in {huge!r}:\n"
+        "    try:\n"
+        "        as_fraction(text)\n"
+        "    except InputError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert run_child(code, timeout=20).splitlines() == [
+        f"cannot interpret {t!r} as an exact rational: exponent magnitude exceeds 4300" for t in huge
+    ]
 
 
 def test_zero_weight_edge_outside_support():

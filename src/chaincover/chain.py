@@ -54,6 +54,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple, Sequence
 
 from .flows import LagrangianCutSolver
@@ -210,6 +211,9 @@ def _fixed_order(
     Inside a block the vertex completing the most still-uncovered samples
     goes first, ties by ascending id.  missing[i] counts the vertices of
     samples[i] not yet placed; gain[v], the samples only v is missing from.
+    Gains only grow, so each block keeps a heap of (-gain, id) that gets a
+    new entry when a gain in the block rises: a vertex's newest entry pops
+    first, and its older ones pop after it is placed and are skipped.
     """
     missing = [len(s) for s in samples]
     holders: dict[int, list[int]] = defaultdict(list)  # vertex -> samples holding it
@@ -221,14 +225,21 @@ def _fixed_order(
     placed: set[int] = set()
     for j in range(1, len(chain.sets)):
         block = set(chain.sets[j] - chain.sets[j - 1])
+        heap = [(-gain[v], v) for v in block]
+        heapify(heap)
         while block:
-            best = min(block, key=lambda v: (-gain[v], v))
+            best = heappop(heap)[1]
+            if best not in block:
+                continue
             block.remove(best)
             placed.add(best)
             order.append(best)
             for i in holders[best]:
                 missing[i] -= 1
                 if missing[i] == 1:
-                    gain[next(v for v in samples[i] if v not in placed)] += 1
+                    last = next(v for v in samples[i] if v not in placed)
+                    gain[last] += 1
+                    if last in block:
+                        heappush(heap, (-gain[last], last))
     order.extend(v for v in range(n) if v not in placed)
     return tuple(order)

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -49,28 +50,59 @@ _RATIONAL = re.compile(
 # |exponent| above Python's default int/str digit limit is refused: 10**exp
 # is built in full, so 1e100000000 would take minutes; 1e4300 is instant
 _MAX_EXPONENT = 4300
+# Python's lowest settable limit on int/str conversions: digit strings this
+# long, and ints of at most _SHORT_BITS bits, convert directly under any limit
+_SHORT_DIGITS = sys.int_info.str_digits_check_threshold
+_SHORT_BITS = 3 * _SHORT_DIGITS  # 2**(3d) < 10**d
+
+
+def _int_from_digits(digits: str) -> int:
+    """``int(digits)`` at any length: the halves are read alone and recombined
+    as hi * 10**len(lo) + lo, in subquadratic time."""
+    if len(digits) <= _SHORT_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _int_from_digits(digits[:-half]) * 10**half + _int_from_digits(digits[-half:])
+
+
+def _int_to_digits(x: int) -> str:
+    """``str(x)`` at any size: the binary halves are converted alone and
+    recombined in Decimal at full precision, in subquadratic time."""
+    if x.bit_length() <= _SHORT_BITS:
+        return str(x)
+    power = cache(lambda w: Decimal(2) ** w)  # each width once
+
+    def convert(x: int, w: int) -> Decimal:  # 0 <= x < 2**w
+        if w <= _SHORT_BITS:
+            return Decimal(x)
+        hi = x >> w // 2
+        return convert(x - (hi << w // 2), w // 2) + convert(hi, w - w // 2) * power(w // 2)
+
+    with localcontext(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact]):
+        digits = str(convert(abs(x), abs(x).bit_length()))
+    return "-" + digits if x < 0 else digits
 
 
 def rational_to_text(x: Fraction) -> str:
-    """``str(x)`` at any size: the digits pass through Decimal, which Python's
-    limit on int/str conversions (4,300 digits by default) does not cover."""
-    num, den = Decimal(x.numerator), Decimal(x.denominator)
-    return str(num) if den == 1 else f"{num}/{den}"
+    """``str(x)`` at any size, which Python's limit on int/str conversions
+    (4,300 digits by default) does not cover."""
+    num = _int_to_digits(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_to_digits(x.denominator)}"
 
 
 def rational_from_text(text: str) -> Fraction:
     """``Fraction(text)`` with digit strings of any length.
 
-    The digits pass through Decimal, as in ``rational_to_text``; an exponent
-    is read as ``Fraction`` reads it, up to ``_MAX_EXPONENT`` in magnitude.
+    The digits are read as in ``_int_from_digits``; an exponent is read as
+    ``Fraction`` reads it, up to ``_MAX_EXPONENT`` in magnitude.
     """
     m = _RATIONAL.fullmatch(text)
     if m is None:
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
     sign, num, den, dec, exp = m.group("sign", "num", "den", "dec", "exp")
     dec = (dec or "").replace("_", "")
-    numerator = int(Decimal(num + dec))  # Decimal reads the underscores itself
-    denominator = int(Decimal(den)) if den else 10 ** len(dec)
+    numerator = _int_from_digits(num.replace("_", "") + dec)
+    denominator = _int_from_digits(den.replace("_", "")) if den else 10 ** len(dec)
     if exp:
         if abs(exp := int(exp)) > _MAX_EXPONENT:
             raise ValueError(f"exponent magnitude exceeds {_MAX_EXPONENT}")

@@ -22,6 +22,8 @@ arbitrary-precision bounds.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -203,12 +205,6 @@ def randbelow(gen: np.random.Generator, n: int) -> int:
 
 
 def choice_weighted(gen: np.random.Generator, weights: list[int]) -> int:
-    """Index drawn proportionally to non-negative integer weights, exactly."""
-    total = sum(weights)
-    r = randbelow(gen, total)
-    acc = 0
-    for i, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return i
-    raise AssertionError("weights changed during draw")
+    """Index drawn proportionally to non-negative integer weights, exactly: the
+    first whose running total exceeds a ``randbelow`` draw below the sum."""
+    return bisect_right(list(accumulate(weights)), randbelow(gen, sum(weights)))

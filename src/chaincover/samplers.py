@@ -11,20 +11,24 @@ integer draws, so the output distribution is uniform by construction:
 * subtrees: root-containing connected subtrees, cost 1 per node off the
   reference subtree.
 
-Each builder computes every field of its table in one pass. A table's
-``verify()`` rebuilds it from its own input fields with the same builder and
-compares every field, so a table that disagrees with its inputs fails it.
+Each family's cell terms come from one function (``_walk_terms``,
+``_group_terms``, ``_child_terms``): the builder stores their sum, and a draw
+at that cell picks an index among the same terms.  Each builder computes
+every field of its table in one pass. A table's ``verify()`` rebuilds it from
+its own input fields with the same builder and compares every field, so a
+table that disagrees with its inputs fails it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import InputError, InvariantError
-from .rng import choice_weighted
+from .hypergraph import InputError, InvariantError, _is_int
+from .rng import choice_weighted, randbelow
 
 __all__ = [
     "WalkDPTable",
@@ -40,6 +44,14 @@ __all__ = [
 ]
 
 Move = tuple[int, int, tuple[str, int]]  # (successor, cost, edge key)
+
+
+def _check_budget(budget) -> None:
+    """A table's cost budget: an int (not a bool), at least 0."""
+    if not _is_int(budget):
+        raise InputError(f"budget must be an int, got {budget!r}")
+    if budget < 0:
+        raise InputError(f"budget must be non-negative, got {budget}")
 
 
 def _unit(budget: int) -> tuple[int, ...]:
@@ -95,11 +107,13 @@ def _walk_moves(path, other_edges) -> dict[int, tuple[Move, ...]]:
     return {u: tuple(m) for u, m in out.items()}
 
 
-def _walk_cell(counts, adjacency, t: int, u: int, k: int) -> int:
-    """N[(u, k)]: t ends one walk, of cost 0; another vertex sums the cells its moves reach."""
-    if u == t:
-        return int(k == 0)
-    return sum(counts.get((v, k - c), 0) for v, c, _ in adjacency.get(u, ()) if k >= c)
+def _walk_terms(counts, adjacency, u: int, k: int) -> tuple[list[Move], list[int]]:
+    """The moves out of u of cost at most k, and the cell N[(v, k - c)] each reaches.
+
+    N[(u, k)] sums the cells for u != t; a walk draw at (u, k) picks a move by them.
+    """
+    moves = [m for m in adjacency.get(u, ()) if m[1] <= k]
+    return moves, [counts.get((v, k - c), 0) for v, c, _ in moves]
 
 
 @dataclass(frozen=True)
@@ -117,8 +131,7 @@ def build_walk_table(
     path = tuple(path)
     if len(set(path)) != len(path) or not path:
         raise InputError("reference must be a nonempty simple path")
-    if budget < 0:
-        raise InputError(f"budget must be non-negative, got {budget}")
+    _check_budget(budget)
     seen = set()
     for a, b in other_edges:
         if a == b:
@@ -137,7 +150,7 @@ def build_walk_table(
     counts: dict[tuple[int, int], int] = {}
     for k in range(budget + 1):
         for u in order:
-            counts[(u, k)] = _walk_cell(counts, adjacency, t, u, k)
+            counts[(u, k)] = int(k == 0) if u == t else sum(_walk_terms(counts, adjacency, u, k)[1])
     partition = sum(counts[(path[0], k)] for k in range(budget + 1))
     return WalkDPTable(path, other_edges, budget, counts, partition, adjacency)
 
@@ -147,19 +160,15 @@ def sample_walk(table: WalkDPTable, gen: np.random.Generator) -> WalkSample:
         raise InputError("empty walk family")
     s = table.path[0]
     budgets = [table.counts[(s, k)] for k in range(table.budget + 1)]
-    k = choice_weighted(gen, budgets)
+    cost = k = choice_weighted(gen, budgets)
     u = s
     vertices = [u]
     keys: list[tuple[str, int]] = []
-    cost = 0
     t = table.path[-1]
     while u != t:
-        options = [(v, c, key) for v, c, key in table.adjacency.get(u, ()) if k >= c]
-        weights = [table.counts.get((v, k - c), 0) for v, c, _ in options]
-        v, c, key = options[choice_weighted(gen, weights)]
+        moves, weights = _walk_terms(table.counts, table.adjacency, u, k)
+        u, c, key = moves[choice_weighted(gen, weights)]
         k -= c
-        cost += c
-        u = v
         vertices.append(u)
         keys.append(key)
     return WalkSample(tuple(vertices), tuple(keys), cost)
@@ -180,10 +189,10 @@ class GroupedDPTable:
         _verify(self, build_group_table, self.groups, self.reference, self.budget)
 
 
-def _group_row(size: int, below: Sequence[int]) -> tuple[int, ...]:
-    """Row of a group of ``size`` above ``below``: keep the reference at cost 0,
-    or take one of the other size - 1 activities at cost 1."""
-    return (below[0], *(below[k] + (size - 1) * below[k - 1] for k in range(1, len(below))))
+def _group_terms(size: int, below: Sequence[int], k: int) -> list[int]:
+    """Cost-k picks of a group of ``size`` above the row ``below``: keep the
+    reference at cost 0, or take one of the other size - 1 activities at cost 1."""
+    return [below[k], (size - 1) * below[k - 1] if k else 0]
 
 
 def build_group_table(
@@ -191,8 +200,7 @@ def build_group_table(
     reference: Sequence[int],
     budget: int,
 ) -> GroupedDPTable:
-    if budget < 0:
-        raise InputError(f"budget must be non-negative, got {budget}")
+    _check_budget(budget)
     groups = tuple(tuple(g) for g in groups)
     reference = tuple(reference)
     if len(reference) != len(groups):
@@ -204,7 +212,7 @@ def build_group_table(
             raise InputError(f"reference activity {reference[r]} not in group {r}")
     rows = [_unit(budget)]
     for g in reversed(groups):
-        rows.append(_group_row(len(g), rows[-1]))
+        rows.append(tuple(sum(_group_terms(len(g), rows[-1], k)) for k in range(budget + 1)))
     counts = tuple(reversed(rows))
     return GroupedDPTable(groups, reference, budget, counts, sum(counts[0]))
 
@@ -215,13 +223,11 @@ def sample_itinerary(table: GroupedDPTable, gen: np.random.Generator) -> tuple[i
     k = choice_weighted(gen, list(table.counts[0]))
     picks: list[int] = []
     for r, group in enumerate(table.groups):
-        stay = table.counts[r + 1][k]
-        deviate = (len(group) - 1) * table.counts[r + 1][k - 1] if k >= 1 else 0
-        if choice_weighted(gen, [stay, deviate]) == 0:
+        if choice_weighted(gen, _group_terms(len(group), table.counts[r + 1], k)) == 0:
             picks.append(table.reference[r])
         else:
             others = [v for v in group if v != table.reference[r]]
-            picks.append(others[choice_weighted(gen, [1] * len(others))])
+            picks.append(others[randbelow(gen, len(others))])
             k -= 1
     return tuple(picks)
 
@@ -257,14 +263,10 @@ def _child_factor(row: Sequence[int]) -> tuple[int, ...]:
     return (row[0] + 1, *row[1:])
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], cap: int) -> list[int]:
-    out = [0] * (cap + 1)
-    for i, x in enumerate(a[: cap + 1]):
-        if x:
-            for j, y in enumerate(b[: cap + 1 - i], i):
-                if y:
-                    out[j] += x * y
-    return out
+def _child_terms(factor: Sequence[int], rest: Sequence[int], k: int) -> list[int]:
+    """Ways to spend k on one child's series and its later siblings' product:
+    term j spends j on the child."""
+    return list(map(mul, factor[: k + 1], rest[k::-1]))  # factor[j] * rest[k - j]
 
 
 def _suffix_products(
@@ -273,7 +275,8 @@ def _suffix_products(
     """Products of the child factors of kids[i:], for i = 0..len(kids)."""
     suffixes = [_unit(budget)]
     for child in reversed(kids):
-        suffixes.append(tuple(_convolve(factors[child], suffixes[-1], budget)))
+        factor, rest = factors[child], suffixes[-1]
+        suffixes.append(tuple(sum(_child_terms(factor, rest, k)) for k in range(budget + 1)))
     return tuple(reversed(suffixes))
 
 
@@ -288,19 +291,20 @@ def build_tree_table(
     reference: Sequence[int],
     budget: int,
 ) -> TreeDPTable:
-    if budget < 0:
-        raise InputError(f"budget must be non-negative, got {budget}")
+    _check_budget(budget)
     parent = tuple(parent)
     n = len(parent)
+    if not _is_int(root):
+        raise InputError(f"root must be an int, got {root!r}")
     if not 0 <= root < n or parent[root] != root:
         raise InputError("root must be its own parent")
     for v, p in enumerate(parent):
-        if not 0 <= p < n:
-            raise InputError(f"parent {p} of node {v} is not a node id in [0, {n})")
+        if not (_is_int(p) and 0 <= p < n):
+            raise InputError(f"parent {p!r} of node {v} is not a node id in [0, {n})")
     reference = frozenset(reference)
     for v in reference:
-        if not 0 <= v < n:
-            raise InputError(f"reference node {v} is not a node id in [0, {n})")
+        if not (_is_int(v) and 0 <= v < n):
+            raise InputError(f"reference node {v!r} is not a node id in [0, {n})")
     if root not in reference:
         raise InputError("reference subtree must contain the root")
     for v in reference:
@@ -331,7 +335,7 @@ def build_tree_table(
 def sample_subtree(table: TreeDPTable, gen: np.random.Generator) -> frozenset[int]:
     if table.partition <= 0:
         raise InputError("empty subtree family")
-    budget, reference, counts = table.budget, table.reference, table.counts
+    reference, counts = table.reference, table.counts
     children, factors, suffixes = table.children, table.factors, table.suffixes
     root = table.root
     k = choice_weighted(gen, list(counts[root]))
@@ -347,15 +351,11 @@ def sample_subtree(table: TreeDPTable, gen: np.random.Generator) -> frozenset[in
             stack.pop()
             continue
         child = kids[i]
-        factor, rest = factors[child], suffixes[u][i + 1]
-        weights = [
-            factor[j] * rest[k_rem - j] if j <= k_rem else 0 for j in range(budget + 1)
-        ]
-        j = choice_weighted(gen, weights)
+        j = choice_weighted(gen, _child_terms(factors[child], suffixes[u][i + 1], k_rem))
         frame[1], frame[2] = i + 1, k_rem - j
         # unit at zero means "skip"; an included zero-cost subtree carries
         # counts[child][0] of the mass
-        if j == 0 and choice_weighted(gen, [1, counts[child][0]]) == 0:
+        if j == 0 and randbelow(gen, 1 + counts[child][0]) == 0:
             continue
         chosen.add(child)
         stack.append([child, 0, j - (0 if child in reference else 1)])

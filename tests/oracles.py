@@ -31,7 +31,7 @@ from chaincover import (
 )
 from chaincover.compress import _check_kappa
 from chaincover.hypergraph import unit_fraction
-from chaincover.rng import stream
+from chaincover.rng import randbelow, stream
 
 
 @lru_cache(maxsize=None)
@@ -498,6 +498,47 @@ def enum_subtrees(
 
     cost = lambda s: sum(1 for v in s if v not in ref)
     return [s for s in grow(root) if cost(s) <= budget]
+
+
+# The draw rule and the three per-step weight lists the samplers used before
+# each family's terms had one function; the expressions are kept as they were.
+
+
+def choice_weighted_reference(gen, weights: list[int]) -> int:
+    """Index drawn proportionally to non-negative integer weights, exactly."""
+    total = sum(weights)
+    r = randbelow(gen, total)
+    acc = 0
+    for i, w in enumerate(weights):
+        acc += w
+        if r < acc:
+            return i
+    raise AssertionError("weights changed during draw")
+
+
+def walk_step_reference(table, u: int, k: int):
+    """The moves and weights of a walk draw at vertex u with k left."""
+    options = [(v, c, key) for v, c, key in table.adjacency.get(u, ()) if k >= c]
+    weights = [table.counts.get((v, k - c), 0) for v, c, _ in options]
+    return options, weights
+
+
+def group_step_reference(table, r: int, k: int) -> list[int]:
+    """The stay/deviate weights of an itinerary draw at group r with k left."""
+    group = table.groups[r]
+    stay = table.counts[r + 1][k]
+    deviate = (len(group) - 1) * table.counts[r + 1][k - 1] if k >= 1 else 0
+    return [stay, deviate]
+
+
+def child_step_reference(table, u: int, i: int, k_rem: int) -> list[int]:
+    """The weights of a subtree draw for child i of u with k_rem left: budget + 1 long."""
+    budget = table.budget
+    factor, rest = table.factors[table.children[u][i]], table.suffixes[u][i + 1]
+    weights = [
+        factor[j] * rest[k_rem - j] if j <= k_rem else 0 for j in range(budget + 1)
+    ]
+    return weights
 
 
 # ---------------------------------------------------------------- generators

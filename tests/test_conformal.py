@@ -25,6 +25,7 @@ from chaincover import chain as chain_module
 from chaincover.experiments import TripPlanConfig, chain_cover, default_phi_grid, gen_trip_samples
 from chaincover.rng import stream
 
+from conftest import run_child
 from oracles import fixed_order_reference, random_hypergraph
 
 
@@ -436,6 +437,19 @@ def test_fixed_order_matches_the_recounting_greedy():
         seen["empty"] += frozenset() in first
         seen["outside"] += len(fit.chain.sets[-1]) < n
     assert min(seen.values()) >= 20, seen
+
+
+def test_fixed_order_of_one_large_block_is_fast():
+    # 30,000 distinct singletons make a single chain block, which the order
+    # used to rescan for every vertex it placed
+    run_child(
+        "from chaincover import fixed_context_fit\n"
+        "draws = [frozenset({v}) for v in range(30_000)] * 2\n"
+        "fit = fixed_context_fit(draws, '9/10', 30_000)\n"
+        "assert len(fit.chain.sets) == 2 and fit.order == tuple(range(30_000))\n"
+        "assert fit.prefix_len == 27_001\n",
+        timeout=60,
+    )
 
 
 # ------------------------------------------------ one chain per training multiset

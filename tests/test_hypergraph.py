@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import sys
 from fractions import Fraction
 
@@ -14,7 +15,12 @@ from chaincover import (
     fixed_context_fit,
 )
 from chaincover.experiments import chain_cover
-from chaincover.hypergraph import check_vertex_ids, prefix_cover_counts, rational_from_text
+from chaincover.hypergraph import (
+    check_vertex_ids,
+    prefix_cover_counts,
+    rational_from_text,
+    rational_to_text,
+)
 
 from conftest import run_child
 
@@ -122,6 +128,55 @@ def test_as_fraction_reads_strings_past_the_int_str_digit_limit():
     with pytest.raises(InputError):
         as_fraction(f"0.{zeros}1/3")
     assert sys.get_int_max_str_digits() == limit
+
+
+def _mod_of_digits(digits: str, p: int) -> int:
+    """int(digits) % p, read nine digits at a time, whatever the digit count."""
+    r = 0
+    for i in range(0, len(digits), 9):
+        chunk = digits[i:i + 9]
+        r = (r * 10 ** len(chunk) + int(chunk)) % p
+    return r
+
+
+def test_rational_text_round_trips_at_any_length():
+    limit = sys.get_int_max_str_digits()
+    rnd = random.Random(50)
+    p = 2**61 - 1
+    lengths = [1, 2, 639, 640, 641, 1920, 1921, 4300, 4301, 10_007, 100_003]
+    lengths += [rnd.randint(1, 100_003) for _ in range(6)]
+    for length in lengths:
+        digits = str(rnd.randint(1, 9)) + "".join(rnd.choices("0123456789", k=length - 1))
+        for sign in ("", "-"):
+            x = as_fraction(sign + digits)
+            assert x.denominator == 1 and (x < 0) == (sign == "-")
+            assert abs(x.numerator) % p == _mod_of_digits(digits, p)
+            assert rational_to_text(x) == sign + digits
+            # underscores and leading zeros are read, not printed
+            spaced = "00" + "_".join(digits[i:i + 7] for i in range(0, len(digits), 7))
+            assert as_fraction(sign + spaced) == x
+            # a short denominator keeps Fraction's gcd cheap
+            q = rnd.randint(2, 10**6)
+            y = as_fraction(f"{sign}{digits}/{q}")
+            assert y == x / q and as_fraction(rational_to_text(y)) == y
+        # the printer on an int that no digit string built
+        z = rnd.getrandbits(length * 3) * rnd.choice((1, -1))
+        assert rational_from_text(rational_to_text(Fraction(z))) == z
+    for zero in ("0", "-0", "+000", "0_0/7"):
+        assert as_fraction(zero) == 0 and rational_to_text(as_fraction(zero)) == "0"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_million_digit_rational_text_reads_and_prints_in_seconds():
+    # both directions were quadratic: about 41 s and 23 s at this size
+    run_child(
+        "from fractions import Fraction\n"
+        "from chaincover.hypergraph import as_fraction, rational_to_text\n"
+        "repunit = (10 ** 10**6 - 1) // 9\n"
+        "assert as_fraction('1' * 10**6) == repunit\n"
+        "assert rational_to_text(Fraction(repunit)) == '1' * 10**6\n",
+        timeout=30,
+    )
 
 
 _DIGITS = st.from_regex(r"[0-9]{1,3}(_[0-9]{1,2})?", fullmatch=True)

@@ -1,12 +1,17 @@
 import dataclasses
+import random
+import re
 from collections import Counter
 
 import pytest
 from scipy import stats
 
 from chaincover import InputError, InvariantError
-from chaincover.rng import stream
+from chaincover.rng import choice_weighted, randbelow, stream
 from chaincover.samplers import (
+    _child_terms,
+    _group_terms,
+    _walk_terms,
     build_group_table,
     build_tree_table,
     build_walk_table,
@@ -15,7 +20,15 @@ from chaincover.samplers import (
     sample_walk,
 )
 
-from oracles import enum_itineraries, enum_subtrees, enum_walks
+from oracles import (
+    child_step_reference,
+    choice_weighted_reference,
+    enum_itineraries,
+    enum_subtrees,
+    enum_walks,
+    group_step_reference,
+    walk_step_reference,
+)
 
 PATH = (0, 1, 2, 3)
 FREE = ((0, 2), (1, 3))
@@ -316,3 +329,120 @@ def test_draws_pinned_per_stream():
     assert [sorted(sample_subtree(tree, stream(33, i))) for i in range(4)] == [
         [0, 7], [0, 1, 5, 6, 7], [0, 1, 2, 5, 6], [0, 7],
     ]
+
+
+# ------------------------------------------------ one term list per family
+
+
+def _random_walk_table(rnd):
+    path = tuple(rnd.sample(range(8), rnd.randint(1, 5)))
+    pairs = [(a, b) for a in range(8) for b in range(a + 1, 8)]
+    edges = [pair[::rnd.choice((1, -1))] for pair in rnd.sample(pairs, rnd.randint(0, 6))]
+    return build_walk_table(path, edges, rnd.randint(0, 4))
+
+
+def _random_group_table(rnd):
+    groups, first = [], 0
+    for _ in range(rnd.randint(1, 4)):
+        size = rnd.randint(1, 4)
+        groups.append(tuple(range(first, first + size)))
+        first += size
+    return build_group_table(groups, [rnd.choice(g) for g in groups], rnd.randint(0, 3))
+
+
+def _random_tree_table(rnd):
+    n = rnd.randint(1, 9)
+    parent = [0] + [rnd.randrange(v) for v in range(1, n)]
+    reference = {0}
+    for v in range(1, n):
+        if parent[v] in reference and rnd.random() < 0.5:
+            reference.add(v)
+    return build_tree_table(parent, 0, reference, rnd.randint(0, 4))
+
+
+def test_step_terms_are_the_old_weights_and_draw_the_same():
+    rnd = random.Random(23)
+    for _ in range(80):
+        walk = _random_walk_table(rnd)
+        for u in walk.adjacency:
+            for k in range(walk.budget + 1):
+                moves, weights = _walk_terms(walk.counts, walk.adjacency, u, k)
+                assert (moves, weights) == walk_step_reference(walk, u, k)
+                assert walk.counts[(u, k)] == sum(weights)
+        group = _random_group_table(rnd)
+        for r, g in enumerate(group.groups):
+            for k in range(group.budget + 1):
+                terms = _group_terms(len(g), group.counts[r + 1], k)
+                assert terms == group_step_reference(group, r, k)
+                assert group.counts[r][k] == sum(terms)
+        tree = _random_tree_table(rnd)
+        for u, kids in enumerate(tree.children):
+            for i, child in enumerate(kids):
+                for k in range(tree.budget + 1):
+                    terms = _child_terms(tree.factors[child], tree.suffixes[u][i + 1], k)
+                    reference = child_step_reference(tree, u, i, k)
+                    # the old list ran to the budget; its entries past k were zeros
+                    assert terms == reference[: k + 1] and not any(reference[k + 1:])
+                    assert tree.suffixes[u][i][k] == sum(terms)
+
+    # choice_weighted picks the old loop's index and reads the same words
+    seen = Counter()
+    for case in range(600):
+        weights = [rnd.choice((0, rnd.randint(1, 9), rnd.getrandbits(rnd.randint(33, 200))))
+                   for _ in range(rnd.randint(1, 6))]
+        if not any(weights):
+            continue
+        ours, old = stream(61, case), stream(61, case)
+        assert choice_weighted(ours, weights) == choice_weighted_reference(old, weights)
+        assert ours.bit_generator.random_raw() == old.bit_generator.random_raw()
+        seen["zero"] += 0 in weights
+        seen["big"] += max(weights) >= 2**64
+        seen["single"] += len(weights) == 1
+    assert min(seen.values()) >= 50, seen
+    for weights in ([], [0], [0, 0, 0]):
+        for draw in (choice_weighted, choice_weighted_reference):
+            with pytest.raises(ValueError):
+                draw(stream(61), weights)
+
+    # the two uniform steps draw as choice_weighted over [1] * n and [1, c]
+    for case in range(300):
+        n = rnd.choice((1, 2, 3, rnd.randint(4, 300), 256, 257))
+        c = rnd.choice((0, 1, rnd.randint(2, 10**6), 2**70 + rnd.randint(0, 9)))
+        ours, old = stream(62, case), stream(62, case)
+        assert randbelow(ours, n) == choice_weighted(old, [1] * n)
+        assert (randbelow(ours, 1 + c) == 0) == (choice_weighted(old, [1, c]) == 0)
+        assert ours.bit_generator.random_raw() == old.bit_generator.random_raw()
+
+
+# ------------------------------------------------ sizes go through the one int rule
+
+
+BUILDS = {
+    "walk": lambda budget: build_walk_table(PATH, FREE, budget),
+    "group": lambda budget: build_group_table([(0, 1)], (0,), budget),
+    "tree": lambda budget: build_tree_table(TREE_PARENT, 0, TREE_REF, budget),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BUILDS))
+@pytest.mark.parametrize("budget, message", [
+    *((b, f"budget must be an int, got {b!r}") for b in (2.5, 2.0, True, "2", None)),
+    (-1, "budget must be non-negative, got -1"),
+])
+def test_budget_must_be_a_non_negative_int(family, budget, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        BUILDS[family](budget)
+
+
+@pytest.mark.parametrize("parent, root, reference, message", [
+    ((0, 0.5), 0, (0,), "parent 0.5 of node 1 is not a node id"),
+    ((0.0, 0), 0, (0,), "parent 0.0 of node 0 is not a node id"),
+    ((0, True), 0, (0,), "parent True of node 1 is not a node id"),
+    ((0, 0), 0.0, (0,), "root must be an int, got 0.0"),
+    ((0, 0), False, (0,), "root must be an int, got False"),
+    ((0, 0), 0, (0, 1.0), "reference node 1.0 is not a node id"),
+    ((0, 0, 0), 0, (0, True), "reference node True is not a node id"),
+])
+def test_tree_ids_must_be_ints(parent, root, reference, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        build_tree_table(parent, root, reference, 1)

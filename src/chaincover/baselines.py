@@ -18,7 +18,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .hypergraph import InputError, prefix_cover_counts, shortest_prefix, unit_fraction
+from .hypergraph import InputError, check_vertex_ids, prefix_cover_counts, shortest_prefix, unit_fraction
 
 __all__ = ["GreedyResult", "forward_greedy", "reverse_greedy"]
 
@@ -70,6 +70,7 @@ def reverse_greedy(
     targets: Sequence,
     n_vertices: int,
 ) -> tuple[dict[Fraction, GreedyResult], tuple[int, ...]]:
+    check_vertex_ids(n_vertices, ())
     train, eval_samples = _normalize(train, eval_samples)
     index: defaultdict[int, list[int]] = defaultdict(list)  # id -> samples holding it
     for i, s in enumerate(train):

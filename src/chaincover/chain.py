@@ -57,7 +57,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple, Sequence
 
-from .flows import LagrangianCutSolver
+from .flows import LagrangianCutSolver, _check_method
 from .hypergraph import WeightedHypergraph, InvariantError, check_vertex_ids
 
 __all__ = ["NestedChain", "nested_chain"]
@@ -122,6 +122,7 @@ def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
     ``method`` is "auto" (each probe's capacities pick its max-flow route)
     or "dinic" (every probe takes the Dinic route).
     """
+    _check_method(method)
     solver = LagrangianCutSolver(h)
     base_induced = solver.const_mass  # empty-vertex hyperedges sit inside every set
     if not solver.edge_members:

@@ -72,6 +72,12 @@ def _check_at_least(cfg, low: int, *names: str) -> None:
             raise InputError(f"{name} must be >= {low}, got {value}")
 
 
+def _check_seed(seed) -> None:
+    """InputError unless ``seed`` is a non-negative int, not a bool."""
+    if not _is_int(seed) or seed < 0:
+        raise InputError(f"seed must be a non-negative int, got {seed!r}")
+
+
 # ---------------------------------------------------------------- grid routing
 
 
@@ -145,6 +151,7 @@ def gen_grid_routes(cfg: GridRoutingConfig, seed: int) -> GridData:
     """Route s of split tag takes the bypass when the first ``random()`` of
     stream (tag, s, 0) falls below the bypass share, else the shortest path
     under weights drawn from stream (tag, s, 1)."""
+    _check_seed(seed)
     bypass = frozenset(range(cfg.n_grid_edges, cfg.n_vertices))
     routes = [(_TRAIN, s) for s in range(cfg.n_train)] + [(_TEST, s) for s in range(cfg.n_test)]
     coins = _first_random(first_words(seed, [(tag, s, 0) for tag, s in routes])).tolist()
@@ -209,6 +216,7 @@ def gen_trip_samples(cfg: TripPlanConfig, seed: int) -> TripData:
     first ``integers(0, k)`` of stream (tag, s, g, 1) then picks within that
     part of k activities.
     """
+    _check_seed(seed)
     size, c = cfg.group_size, cfg.core_per_group
     core = frozenset(g * size + a for g in range(cfg.groups) for a in range(c))
     samples = [(_TRAIN, s) for s in range(cfg.n_train)] + [(_TEST, s) for s in range(cfg.n_test)]
@@ -233,6 +241,8 @@ def gen_adversarial(a: int, b: int, eps) -> WeightedHypergraph:
     Singletons take the high ids a..a+b-1 so that count-based peeling with
     descending-id ties reaches them first.
     """
+    if not (_is_int(a) and _is_int(b)):
+        raise InputError(f"a and b must be ints, got a={a!r}, b={b!r}")
     if not a > b >= 1:
         raise InputError(f"need a > b >= 1, got a={a}, b={b}")
     eps = as_fraction(eps)

@@ -28,10 +28,11 @@ denominator D (``WeightedHypergraph.masses``) and lam = p/q, every capacity
 is multiplied by q*D and divided by the gcd of all of them, which leaves the
 primitive integer vector proportional to (p * w_e, q) whatever common
 multiple D is.  Two max-flow routes share one contract (the arcs in CSR
-order and the node count in; the flow on every source arc and the
-source-side node ids out) and are cross-checked in tests:
+order and the node count n in; the flow on every source arc and the source
+side, a bool mask over the n nodes, out) and are cross-checked in tests:
 
-* ``scipy``: scipy.sparse.csgraph.maximum_flow on int32 capacities;
+* ``scipy``: scipy.sparse.csgraph.maximum_flow on int32 capacities, whose
+  flow matrix is rewritten in place to the residual graph;
 * ``dinic``: a pure-Python Dinic on arbitrary-precision integers, for the
   probes past int32, or for every probe under ``method="dinic"``.
 
@@ -45,7 +46,9 @@ a max flow of the union, restricted to one block, is a max flow of that
 block.  At a max flow no residual path leads from the source to the sink,
 so residual reachability from the source never passes the sink into
 another block, and the reached nodes of each block are that block's own
-minimal minimizer.
+minimal minimizer.  The free vertices' nodes come last, in the row-major
+order of the blocks' ``free`` rows, so the tail of the source-side mask,
+put back into those rows, marks each block's reached vertices.
 Each block's cut value is the sum of the flows on its own source arcs, not
 read from the reached set, so the recount that ``_check`` compares it with
 is a max-flow/min-cut certificate per probe.  The capacities alone pick the
@@ -67,6 +70,12 @@ from .hypergraph import InvariantError, WeightedHypergraph
 __all__ = ["CutResult", "LagrangianCutSolver"]
 
 _INT32_MAX = 2**31 - 1
+
+
+def _check_method(method: str) -> None:
+    """``method`` names a max-flow route a caller may ask for: auto or dinic."""
+    if method not in ("auto", "dinic"):
+        raise ValueError(f"unknown max-flow route {method!r}")
 
 
 @dataclass(frozen=True)
@@ -171,11 +180,6 @@ class LagrangianCutSolver:
         free = in_hi & ~in_lo
         mid = np.take(keep, self._arc_edge, axis=1) & ~lo_arcs
 
-        bounds = np.arange(len(probes) + 1)
-        rows, kept = np.nonzero(keep)
-        kept, k_at = kept.tolist(), np.searchsorted(rows, bounds).tolist()
-        rows, below = np.nonzero(inside_lo)
-        below, b_at = below.tolist(), np.searchsorted(rows, bounds).tolist()
         n_mid = np.count_nonzero(mid, axis=1).tolist()
         n_free = np.count_nonzero(free, axis=1).tolist()
         nums_of, d = self.edge_nums, self.denom
@@ -185,8 +189,8 @@ class LagrangianCutSolver:
             # divided by their gcd g, which leaves the cuts and the flows'
             # residual reachability unchanged and lets more probes fit int32
             p, q = lam.numerator, lam.denominator
-            nums = [nums_of[e] for e in kept[k_at[i]:k_at[i + 1]]]
-            e_lo = self._empty + sum(nums_of[e] for e in below[b_at[i]:b_at[i + 1]])
+            nums = [nums_of[e] for e in np.flatnonzero(keep[i]).tolist()]
+            e_lo = self._empty + sum(nums_of[e] for e in np.flatnonzero(inside_lo[i]).tolist())
             g = math.gcd(p * math.gcd(*nums), q * d)
             src = [p * a // g for a in nums]
             sink = q * d // g
@@ -201,32 +205,29 @@ class LagrangianCutSolver:
 
         Node 0 is the source and node 1 the sink, shared by every block; then
         come the kept hyperedges, block by block, then the free vertices,
-        block by block.  Returns ``rows`` and ``cols`` (source arcs, then
-        hyperedge->vertex arcs, then vertex->sink arcs), the node count, and
-        the block and support index of each vertex node.
+        block by block, in the row-major order of ``keep`` and ``free``.
+        Returns ``rows`` and ``cols`` (source arcs, then hyperedge->vertex
+        arcs, then vertex->sink arcs) and the node count.
         """
         import numpy as np
 
-        e_block, e_idx = np.nonzero(keep)
-        v_block, v_idx = np.nonzero(free)
-        a_block, a_idx = np.nonzero(mid)
-        first_v = 2 + len(e_idx)
-        n = first_v + len(v_idx)
+        first_v = 2 + np.count_nonzero(keep)
+        n = first_v + np.count_nonzero(free)
         enode = np.zeros(keep.shape, dtype=np.intp)
-        enode[e_block, e_idx] = np.arange(2, first_v)
+        enode[keep] = np.arange(2, first_v)
         vnode = np.zeros(free.shape, dtype=np.intp)
-        vnode[v_block, v_idx] = np.arange(first_v, n)
+        vnode[free] = np.arange(first_v, n)
         rows = np.concatenate((
-            np.zeros(len(e_idx), dtype=np.intp),
-            enode[a_block, self._arc_edge[a_idx]],
+            np.zeros(first_v - 2, dtype=np.intp),
+            np.take(enode, self._arc_edge, axis=1)[mid],
             np.arange(first_v, n),
         ))
         cols = np.concatenate((
             np.arange(2, first_v),
-            vnode[a_block, self._arc_vertex[a_idx]],
-            np.ones(len(v_idx), dtype=np.intp),
+            np.take(vnode, self._arc_vertex, axis=1)[mid],
+            np.ones(n - first_v, dtype=np.intp),
         ))
-        return rows, cols, n, v_block, v_idx
+        return rows, cols, n
 
     def solve(
         self,
@@ -259,8 +260,7 @@ class LagrangianCutSolver:
         """
         import numpy as np
 
-        if method not in ("auto", "dinic"):
-            raise ValueError(f"unknown max-flow route {method!r}")
+        _check_method(method)
         for lam, lo, hi in probes:
             if lam < 0:
                 raise ValueError(f"multiplier must be non-negative, got {lam}")
@@ -288,21 +288,20 @@ class LagrangianCutSolver:
 
         results: list[CutResult] = [None] * len(probes)  # type: ignore[list-item]
         for max_flow, route, idx in packs:
-            rows, cols, n, v_block, v_idx = self._pack(keep[idx], free[idx], mid[idx])
+            free_rows = free[idx]
+            rows, cols, n = self._pack(keep[idx], free_rows, mid[idx])
             group = [scales[i] for i in idx]
             caps = list(chain.from_iterable(s.src for s in group))
             for s in group:
                 caps += [s.inf] * s.n_mid
             for s in group:
                 caps += [s.sink] * s.n_free
-            src_flow, reach = max_flow(rows, cols, caps, n)
-            first_v = n - len(v_idx)
-            node = np.sort(reach[reach >= first_v]) - first_v  # block by block
-            reached = self._vertices[v_idx[node]].tolist()
-            at = np.searchsorted(v_block[node], np.arange(len(idx) + 1)).tolist()
+            src_flow, reached = max_flow(rows, cols, caps, n)
+            got = np.zeros_like(free_rows)  # the reached free vertices, block by block
+            got[free_rows] = reached[n - sum(s.n_free for s in group):]
             start = 0  # the block's first source arc
             for j, (i, s) in enumerate(zip(idx, group)):
-                k = s.lo | frozenset(reached[at[j]:at[j + 1]])
+                k = s.lo | frozenset(self._vertices[got[j]].tolist())
                 cut = sum(src_flow[start:start + len(s.src)])
                 start += len(s.src)
                 phi = Fraction(cut * s.g - s.base, s.lam.denominator * self.denom) + len(s.lo)
@@ -320,19 +319,18 @@ class LagrangianCutSolver:
 
 
 def _max_flow_scipy(rows, cols, caps, n: int):
-    """Flow on each source arc and the source-side node ids, by scipy on int32 capacities.
+    """Flow on each source arc and the source side, by scipy on int32 capacities.
 
     The arcs run from ``rows`` to ``cols`` with the integer capacities
     ``caps``; node 0 is the source and node 1 the sink.  ``rows`` must be
     non-decreasing and ``cols`` increasing within a row, so the arcs already
     are the CSR order; the source arcs come first.  Returns their flows as a
-    list, in order, and the node ids reached from the source in the residual
-    graph.  scipy returns the flow on every arc and, negated, on its reverse,
-    in one CSR structure; the residual graph keeps the entries of that
-    structure with capacity minus flow above zero (a forward arc with
-    ``cap - flow > 0``, a reverse arc with ``flow > 0``).  It is built from
-    the arrays directly: sparse-matrix arithmetic costs more than the rest
-    of the residual.
+    list, in order, and the source side as a bool mask over the ``n`` nodes:
+    the nodes reached from the source in the residual graph.  scipy returns
+    the flow on every arc and, negated, on its reverse, in one CSR
+    structure, and the residual graph is traversed on that structure in
+    place: a forward entry is residual below its arc's capacity, a reverse
+    entry while its arc carries flow.
     """
     import numpy as np
     from scipy.sparse import csr_matrix
@@ -346,26 +344,24 @@ def _max_flow_scipy(rows, cols, caps, n: int):
     at = np.searchsorted(keys, rows * n + cols)
     if not np.array_equal(keys[at], rows * n + cols):
         raise InvariantError("max-flow result lacks an arc of its network")
-    left = -flow.data.astype(np.int64)
-    left[at] += caps
-    live = left > 0
-    # float64 is the traversal's own dtype: any other costs a conversion
-    residual = csr_matrix(
-        (np.ones(np.count_nonzero(live)), flow.indices[live],
-         np.concatenate(([0], np.cumsum(live)))[flow.indptr]),
-        shape=(n, n),
-    )
-    reach = breadth_first_order(residual, 0, directed=True, return_predecessors=False)
     # no arc enters the source, so the source arcs' flows are the first entries
-    return flow.data[at[: indptr[1]]].tolist(), reach
+    src_flow = flow.data[at[: indptr[1]]].tolist()
+    live = flow.data < 0
+    live[at] = flow.data[at] < caps
+    # float64 is the traversal's own dtype: any other costs a conversion
+    flow.data = live.astype(np.float64)
+    flow.eliminate_zeros()
+    reached = np.zeros(n, dtype=bool)
+    reached[breadth_first_order(flow, 0, directed=True, return_predecessors=False)] = True
+    return src_flow, reached
 
 
 def _max_flow_dinic(rows, cols, caps, n: int):
-    """Flow on each source arc and the source-side node ids, by Dinic on Python ints.
+    """Flow on each source arc and the source side, by Dinic on Python ints.
 
     The contract of ``_max_flow_scipy``, on capacities of any size.  Input
     arc ``i`` is residual arc ``2 * i`` and its reverse ``2 * i + 1``, which
-    starts empty and so holds the arc's flow.
+    starts empty and so holds the arc's flow.  The last BFS levels the source side.
     """
     import numpy as np
 
@@ -421,4 +417,4 @@ def _max_flow_dinic(rows, cols, caps, n: int):
                 continue
             path.append(a)
             u = to[a]
-    return cap[1 : 2 * rows.count(0) : 2], np.array(queue, dtype=np.intp)
+    return cap[1 : 2 * rows.count(0) : 2], np.array(level) >= 0

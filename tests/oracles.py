@@ -500,6 +500,47 @@ def enum_subtrees(
     return [s for s in grow(root) if cost(s) <= budget]
 
 
+def exact_draws(monkeypatch, draw) -> dict:
+    """The exact probability of every output of ``draw()``, a sampler call.
+
+    ``randbelow`` in ``chaincover.rng`` (which ``choice_weighted`` calls) and
+    in ``chaincover.samplers`` is replaced by a scripted stand-in, and every
+    outcome sequence is walked depth-first: a run replays the outcomes
+    scripted so far, a draw past them returns 0 and records its bound, and
+    the next run moves the last draw that has outcomes left to its next one.
+    A run's probability is the product of 1/bound over its draws.
+    """
+    from chaincover import rng, samplers
+
+    script: list[list[int]] = []  # [outcome, bound] per draw of the run
+    at = 0
+
+    def scripted(gen, n: int) -> int:
+        nonlocal at
+        if n <= 0:
+            raise ValueError(f"randbelow needs a positive bound, got {n}")
+        if at == len(script):
+            script.append([0, n])
+        assert script[at][1] == n, "a replayed draw changed its bound"
+        at += 1
+        return script[at - 1][0]
+
+    mass: defaultdict = defaultdict(Fraction)
+    with monkeypatch.context() as patch:
+        patch.setattr(rng, "randbelow", scripted)
+        patch.setattr(samplers, "randbelow", scripted)
+        while True:
+            at = 0
+            out = draw()
+            assert at == len(script), "a replay took fewer draws"
+            mass[out] += Fraction(1, math.prod(n for _, n in script))
+            while script and script[-1][0] == script[-1][1] - 1:
+                script.pop()
+            if not script:
+                return dict(mass)
+            script[-1][0] += 1
+
+
 # The draw rule and the three per-step weight lists the samplers used before
 # each family's terms had one function; the expressions are kept as they were.
 

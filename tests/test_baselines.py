@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -132,3 +133,14 @@ def test_reverse_peel_at_n_100000():
     zeros_first, tail = json.loads(run_child(code, timeout=60))
     assert zeros_first
     assert tuple(tail) == reverse_peel_reference(train, 3)
+
+
+@pytest.mark.parametrize("n, message", [
+    (2.5, "vertex count must be an int, got 2.5"),
+    (True, "vertex count must be an int, got True"),
+    ("3", "vertex count must be an int, got '3'"),
+    (-1, "vertex count must be non-negative, got -1"),
+])
+def test_reverse_greedy_vertex_count_is_checked(n, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        reverse_greedy([{0}], [{0}], ["1/2"], n)

@@ -263,6 +263,13 @@ def test_walk_probes_no_one_vertex_bracket(monkeypatch):
     assert chain.breakpoints == tuple(Fraction(1, 60 ** (60 - v)) for v in range(60))
 
 
+@pytest.mark.parametrize("edges", [[], [(set(), 1)], [({0}, 0)], [({0, 1}, 1)]])
+def test_method_checked_on_every_instance(edges):
+    # the first three have no positive non-empty hyperedge and so no probe
+    with pytest.raises(ValueError, match=r"^unknown max-flow route 'bogus'$"):
+        nested_chain(WeightedHypergraph.build(3, edges), method="bogus")
+
+
 def test_max_flow_calls_pinned(monkeypatch):
     # zipf chains of the benchmark's two sizes, every probe on scipy; with the
     # top probe solved alone and one-vertex brackets probed they took 44 calls

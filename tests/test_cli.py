@@ -298,6 +298,18 @@ def test_console_script_targets_main():
     assert scripts == {"chaincover": "chaincover.cli:main"}
 
 
+def test_declared_python_floor_is_the_one_ci_runs():
+    # decimal.localcontext(prec=...) in the digit codec needs Python 3.11
+    import re
+    import tomllib
+
+    root = Path(__file__).resolve().parents[1]
+    floor = tomllib.loads((root / "pyproject.toml").read_text())["project"]["requires-python"]
+    ci = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    (version,) = re.findall(r"""python-version:\s*["']?([\d.]+)""", ci)
+    assert floor == f">={version}"
+
+
 def test_exit_code_zero_and_identical_reruns(tmp_path, three_path_instance):
     inst = tmp_path / "inst.json"
     save_instance(inst, three_path_instance)

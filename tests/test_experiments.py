@@ -1,6 +1,7 @@
 """Synthetic generators and the method-comparison harness."""
 
 import hashlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -292,6 +293,29 @@ def test_adversarial_validation():
         xp.gen_adversarial(5, 2, 0)
     with pytest.raises(InputError):
         xp.gen_adversarial(5, 2, 1)
+
+
+@pytest.mark.parametrize("a, b", [(30.0, 3), (6, 2.0), (True, 0), ("6", 2)])
+def test_adversarial_sizes_must_be_ints(a, b):
+    with pytest.raises(InputError, match=f"^{re.escape(f'a and b must be ints, got a={a!r}, b={b!r}')}$"):
+        xp.gen_adversarial(a, b, "1/5")
+
+
+def test_adversarial_size_order_message_kept():
+    with pytest.raises(InputError, match=r"^need a > b >= 1, got a=3, b=3$"):
+        xp.gen_adversarial(3, 3, "1/5")
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, False, "1", None, np.int64(1)])
+@pytest.mark.parametrize("generate", [
+    lambda seed: xp.gen_trip_samples(xp.TripPlanConfig(), seed),
+    lambda seed: xp.gen_grid_routes(xp.GridRoutingConfig(), seed),
+    lambda seed: xp.comparison_rows("grid", [seed], ["1/2"]),
+    lambda seed: xp.comparison_rows("trip", [seed], ["1/2"]),
+], ids=["trip", "grid", "grid-rows", "trip-rows"])
+def test_generator_seeds_must_be_non_negative_ints(generate, seed):
+    with pytest.raises(InputError, match=rf"^seed must be a non-negative int, got {re.escape(repr(seed))}$"):
+        generate(seed)
 
 
 def test_adversarial_chain_vs_reverse_greedy():

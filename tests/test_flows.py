@@ -288,6 +288,58 @@ def _bracket_probes(h, rng, count):
     return probes
 
 
+def _packed_network(solver, probes):
+    """The arcs, capacities and node count of ``probes`` packed into one
+    max-flow call, and the sum of the blocks' ``inf`` bounds."""
+    keep, free, mid, scales = solver._blocks(probes)
+    rows, cols, n = solver._pack(keep, free, mid)
+    caps = [c for s in scales for c in s.src]
+    caps += [s.inf for s in scales for _ in range(s.n_mid)]
+    caps += [s.sink for s in scales for _ in range(s.n_free)]
+    return rows, cols, caps, n, sum(s.inf for s in scales)
+
+
+def _long_path_networks():
+    """The n = 2000 long path of ``_LONG_PATHS`` with unit weights: the root
+    bracket at its one breakpoint alone, where Dinic's paths run the whole
+    path (about 6 s), and three probes away from it packed together."""
+    n = 2000
+    h = WeightedHypergraph.build(n, [((i, i + 1), 1) for i in range(n - 2, -1, -1)])
+    solver = LagrangianCutSolver(h)
+    top = Fraction(n + 1) / solver.min_positive
+    return [
+        _packed_network(solver, [(Fraction(n, n - 1), frozenset(), frozenset(range(n)))]),
+        _packed_network(solver, [(lam, frozenset(), None) for lam in (Fraction(1), Fraction(2), top)]),
+    ]
+
+
+def test_max_flow_routes_return_one_source_side():
+    # the two routes may find different maximum flows, never a different
+    # flow value or minimal source side
+    from chaincover import flows
+
+    networks = _long_path_networks()
+    for seed in range(8):
+        dens = None if seed % 2 == 0 else tuple(range(2, 14))
+        h = zipf_hypergraph(700 + seed, 24, 60, dens=dens)
+        solver = LagrangianCutSolver(h)
+        probes = _bracket_probes(h, np.random.default_rng(seed), 6)
+        networks += [_packed_network(solver, [probe]) for probe in probes]
+        networks += [_packed_network(solver, probes[:3]), _packed_network(solver, probes)]
+    # scipy takes a pack while the sum of its inf bounds fits int32
+    networks = [net[:4] for net in networks if net[4] <= flows._INT32_MAX]
+    assert len(networks) >= 50
+    for rows, cols, caps, n in networks:
+        got = [max_flow(rows, cols, caps, n) for max_flow in (flows._max_flow_scipy, flows._max_flow_dinic)]
+        for src_flow, reached in got:
+            assert reached.dtype == bool and reached.shape == (n,)
+            assert reached[0] and not reached[1]
+            assert len(src_flow) == rows.tolist().count(0)
+        (scipy_flow, scipy_side), (dinic_flow, dinic_side) = got
+        assert sum(scipy_flow) == sum(dinic_flow)
+        assert np.array_equal(scipy_side, dinic_side)
+
+
 def _facts(result):
     return result.vertex_set, result.phi, result.route, result.arcs
 

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from scipy import stats
@@ -26,6 +27,7 @@ from oracles import (
     enum_itineraries,
     enum_subtrees,
     enum_walks,
+    exact_draws,
     group_step_reference,
     walk_step_reference,
 )
@@ -446,3 +448,48 @@ def test_budget_must_be_a_non_negative_int(family, budget, message):
 def test_tree_ids_must_be_ints(parent, root, reference, message):
     with pytest.raises(InputError, match=re.escape(message)):
         build_tree_table(parent, root, reference, 1)
+
+
+# ------------------------------------------------- exact uniformity, every draw walked
+
+
+def _uniform_over(mass, family, partition):
+    assert set(mass) == set(family)
+    assert len(family) == partition
+    assert set(mass.values()) == {Fraction(1, partition)}
+
+
+@pytest.mark.parametrize("path, free, budget, size", [
+    ((0, 1, 2), ((0, 3), (3, 2), (3, 4), (4, 2), (0, 4)), 2, 5),
+    (PATH, FREE, 2, None),
+])
+def test_walk_draws_are_exactly_uniform(monkeypatch, path, free, budget, size):
+    table = build_walk_table(path, free, budget)
+    mass = exact_draws(monkeypatch, lambda: dataclasses.astuple(sample_walk(table, None)))
+    family = enum_walks(path, free, budget)
+    assert size is None or len(family) == size
+    _uniform_over(mass, family, table.partition)
+
+
+@pytest.mark.parametrize("groups, reference, budget, size", [
+    ([[0, 1, 2], [3, 4], [5, 6, 7]], [0, 3, 5], 2, 14),
+    ([[0, 1, 2, 3], [4], [5, 6, 7], [8, 9]], [3, 4, 5, 9], 3, None),
+])
+def test_itinerary_draws_are_exactly_uniform(monkeypatch, groups, reference, budget, size):
+    table = build_group_table(groups, reference, budget)
+    mass = exact_draws(monkeypatch, lambda: sample_itinerary(table, None))
+    family = enum_itineraries(groups, reference, budget)
+    assert size is None or len(family) == size
+    _uniform_over(mass, family, table.partition)
+
+
+@pytest.mark.parametrize("parent, root, reference, budget, size", [
+    ([0, 0, 0, 1, 1, 2, 2], 0, {0, 1}, 2, 13),
+    ([1, 1, 1, 0, 0, 2, 5, 5], 1, {1, 2, 5}, 3, None),
+])
+def test_subtree_draws_are_exactly_uniform(monkeypatch, parent, root, reference, budget, size):
+    table = build_tree_table(parent, root, reference, budget)
+    mass = exact_draws(monkeypatch, lambda: sample_subtree(table, None))
+    family = enum_subtrees(parent, root, reference, budget)
+    assert size is None or len(family) == size
+    _uniform_over(mass, family, table.partition)

@@ -28,11 +28,16 @@ the full hypergraph, so e(K) = (|K| - Phi) / lam exactly, and no set is
 recounted twice.
 
 The first round is the root bracket (empty set, support) alone, through
-``LagrangianCutSolver.solve``.  The top probe, at a multiplier large enough
-to force the whole support, has no brackets; it leads the second round's
-call, or is solved alone after the walk when the root closes at once.
-Either way its set is checked to be the support before the chain is
-returned, which makes the support the top of the chain.
+``LagrangianCutSolver.solve``.  The top probe has no brackets.  Its
+multiplier (|support| + 1) / (least positive weight) forces the whole
+support: for K short of the support, some positive hyperedge inside the
+support is not inside K, so Phi(K) - Phi(support) >= lam * (least positive
+weight) - |support| = 1, and vertices outside the support only add to |K|.
+It follows the support, not the declared n, so a large n does not push the
+top probe past int32.  It leads the second round's call, or is solved alone
+after the walk when the root closes at once.  Either way its set is checked
+to be the support before the chain is returned, which makes the support the
+top of the chain.
 
 Because minimal minimizers grow with lam, the minimizer at a probe lies
 between its two brackets, so each probe solves only the subnetwork of the
@@ -130,7 +135,7 @@ def nested_chain(h: WeightedHypergraph, method: str = "auto") -> NestedChain:
         chain.validate()
         return chain
 
-    lam_max = Fraction(h.n + 1) / solver.min_positive
+    lam_max = Fraction(len(solver.support) + 1) / solver.min_positive
     support = frozenset(solver.support)
     closed = []  # brackets whose probe found lo or one vertex wide: lam is the breakpoint of hi
     row = []

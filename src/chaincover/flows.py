@@ -33,8 +33,8 @@ side, a bool mask over the n nodes, out) and are cross-checked in tests:
 
 * ``scipy``: scipy.sparse.csgraph.maximum_flow on int32 capacities, whose
   flow matrix is rewritten in place to the residual graph;
-* ``dinic``: a pure-Python Dinic on arbitrary-precision integers, for the
-  probes past int32, or for every probe under ``method="dinic"``.
+* ``dinic``: a pure-Python Dinic on arbitrary-precision integers, one call
+  per probe past int32, or per probe under ``method="dinic"``.
 
 Packed probes.  ``solve_many`` solves several probes at once, as the chain
 does with all the probes of one round.  Each probe's network becomes a block
@@ -46,15 +46,16 @@ a max flow of the union, restricted to one block, is a max flow of that
 block.  At a max flow no residual path leads from the source to the sink,
 so residual reachability from the source never passes the sink into
 another block, and the reached nodes of each block are that block's own
-minimal minimizer.  The free vertices' nodes come last, in the row-major
-order of the blocks' ``free`` rows, so the tail of the source-side mask,
-put back into those rows, marks each block's reached vertices.
+minimal minimizer.  ``_pack`` alone lays out a packed network, and the
+node it gives each free vertex reads that vertex off the source side.
 Each block's cut value is the sum of the flows on its own source arcs, not
 read from the reached set, so the recount that ``_check`` compares it with
 is a max-flow/min-cut certificate per probe.  The capacities alone pick the
-route: blocks share a scipy call while the sum of their ``inf`` bounds fits
-int32, which bounds the total flow and every capacity of the call, and the
-blocks past int32 share one Dinic call.
+route.  Blocks share a scipy call while the sum of their ``inf`` bounds
+fits int32, which bounds the total flow and every capacity of the call;
+packing pays scipy's fixed cost per call once.  Each block past int32 gets
+its own Dinic call: Dinic has no such fixed cost, and in a pack every
+block would run as many phases as the slowest one.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence
 
 from .hypergraph import InvariantError, WeightedHypergraph
@@ -93,8 +93,6 @@ class CutResult:
 class _Scale:
     """Exact integer capacities of one probe's network and how to undo them."""
 
-    lam: Fraction
-    lo: frozenset[int]
     src: list[int]   # source -> kept hyperedge: lam * w_e
     sink: int        # free vertex -> sink: 1
     inf: int         # hyperedge -> member vertex: above every finite cut
@@ -112,8 +110,7 @@ class LagrangianCutSolver:
     index ``_arc_vertex[a]``, arcs grouped by hyperedge.  Vertices on no
     positive hyperedge can never enter a minimal minimizer and get no node.
     Each probe selects its (sub)network from these arrays as one block, and
-    the blocks solved together are numbered 0 = source, 1 = sink, then the
-    kept hyperedges, then the free vertices, each block by block.
+    ``_pack`` lays out the blocks solved together.
     """
 
     def __init__(self, h: WeightedHypergraph):
@@ -169,22 +166,21 @@ class LagrangianCutSolver:
         """
         import numpy as np
 
+        half = len(probes)  # lo rows, then hi rows
         masks = self._masks([lo for _, lo, _ in probes] + [hi for _, _, hi in probes])
-        in_lo, in_hi = masks[: len(probes)], masks[len(probes):]
         # np.take: column gathers by fancy indexing cost several times more
-        lo_arcs = np.take(in_lo, self._arc_vertex, axis=1)
-        hi_arcs = np.take(in_hi, self._arc_vertex, axis=1)
-        inside_lo = np.logical_and.reduceat(lo_arcs, self._edge_start, axis=1)
-        inside_hi = np.logical_and.reduceat(hi_arcs, self._edge_start, axis=1)
-        keep = inside_hi & ~inside_lo
-        free = in_hi & ~in_lo
-        mid = np.take(keep, self._arc_edge, axis=1) & ~lo_arcs
+        arcs = np.take(masks, self._arc_vertex, axis=1)
+        inside = np.logical_and.reduceat(arcs, self._edge_start, axis=1)
+        inside_lo = inside[:half]
+        keep = inside[half:] & ~inside_lo
+        free = masks[half:] & ~masks[:half]
+        mid = np.take(keep, self._arc_edge, axis=1) & ~arcs[:half]
 
         n_mid = np.count_nonzero(mid, axis=1).tolist()
         n_free = np.count_nonzero(free, axis=1).tolist()
         nums_of, d = self.edge_nums, self.denom
         scales = []
-        for i, (lam, lo, _) in enumerate(probes):
+        for i, (lam, _, _) in enumerate(probes):
             # integer capacities: lam * w_e and 1 scaled by q * denom, then
             # divided by their gcd g, which leaves the cuts and the flows'
             # residual reachability unchanged and lets more probes fit int32
@@ -195,19 +191,20 @@ class LagrangianCutSolver:
             src = [p * a // g for a in nums]
             sink = q * d // g
             inf = sum(src) + sink * n_free[i] + 1  # exceeds every finite cut
-            scales.append(
-                _Scale(lam, lo, src, sink, inf, g, p * (sum(nums) + e_lo), n_mid[i], n_free[i])
-            )
+            scales.append(_Scale(src, sink, inf, g, p * (sum(nums) + e_lo), n_mid[i], n_free[i]))
         return keep, free, mid, scales
 
-    def _pack(self, keep, free, mid):
-        """Arcs of the union of some blocks' networks, in CSR order.
+    def _pack(self, keep, free, mid, scales):
+        """The union of some blocks' networks, laid out for one max-flow call.
 
         Node 0 is the source and node 1 the sink, shared by every block; then
         come the kept hyperedges, block by block, then the free vertices,
         block by block, in the row-major order of ``keep`` and ``free``.
-        Returns ``rows`` and ``cols`` (source arcs, then hyperedge->vertex
-        arcs, then vertex->sink arcs) and the node count.
+        Returns the arcs in CSR order as ``rows`` and ``cols`` (source arcs,
+        then hyperedge->vertex arcs, then vertex->sink arcs), their
+        capacities ``caps`` in that order (each block's ``src``, then
+        ``inf``, then ``sink``), ``vnode``, the node of each free vertex in
+        the shape of ``free`` (0 elsewhere), and the node count.
         """
         import numpy as np
 
@@ -227,7 +224,12 @@ class LagrangianCutSolver:
             np.take(vnode, self._arc_vertex, axis=1)[mid],
             np.ones(n - first_v, dtype=np.intp),
         ))
-        return rows, cols, n
+        caps = [c for s in scales for c in s.src]
+        for s in scales:
+            caps += [s.inf] * s.n_mid
+        for s in scales:
+            caps += [s.sink] * s.n_free
+        return rows, cols, caps, vnode, n
 
     def solve(
         self,
@@ -255,11 +257,9 @@ class LagrangianCutSolver:
         ``method`` is ``"auto"`` or ``"dinic"``.  The probes' networks are
         blocks of networks that share only the source and the sink.  Under
         ``auto``, blocks that fit int32 share a scipy call while the sum of
-        their ``inf`` bounds does; the rest of the probes, or all of them
-        under ``dinic``, share one Dinic call.
+        their ``inf`` bounds does; each of the rest, or each probe under
+        ``dinic``, gets its own Dinic call.
         """
-        import numpy as np
-
         _check_method(method)
         for lam, lo, hi in probes:
             if lam < 0:
@@ -272,42 +272,35 @@ class LagrangianCutSolver:
 
         keep, free, mid, scales = self._blocks(probes)
         packs = []  # (max_flow, route, probe indices) of one max-flow call each
-        room = 0  # int32 room left in the last scipy pack
-        dinic: list[int] = []
+        room = 0  # int32 room left in the open scipy pack
         for i, s in enumerate(scales):
             if method == "dinic" or s.inf > _INT32_MAX:
-                dinic.append(i)
+                packs.append((_max_flow_dinic, "dinic", [i]))
                 continue
             if s.inf > room:
-                packs.append((_max_flow_scipy, "scipy", []))
+                scipy_idx: list[int] = []
+                packs.append((_max_flow_scipy, "scipy", scipy_idx))
                 room = _INT32_MAX
-            packs[-1][2].append(i)
+            scipy_idx.append(i)
             room -= s.inf
-        if dinic:
-            packs.append((_max_flow_dinic, "dinic", dinic))
 
         results: list[CutResult] = [None] * len(probes)  # type: ignore[list-item]
         for max_flow, route, idx in packs:
-            free_rows = free[idx]
-            rows, cols, n = self._pack(keep[idx], free_rows, mid[idx])
             group = [scales[i] for i in idx]
-            caps = list(chain.from_iterable(s.src for s in group))
-            for s in group:
-                caps += [s.inf] * s.n_mid
-            for s in group:
-                caps += [s.sink] * s.n_free
+            free_rows = free[idx]
+            rows, cols, caps, vnode, n = self._pack(keep[idx], free_rows, mid[idx], group)
             src_flow, reached = max_flow(rows, cols, caps, n)
-            got = np.zeros_like(free_rows)  # the reached free vertices, block by block
-            got[free_rows] = reached[n - sum(s.n_free for s in group):]
+            got = reached[vnode] & free_rows  # the reached free vertices, block by block
             start = 0  # the block's first source arc
             for j, (i, s) in enumerate(zip(idx, group)):
-                k = s.lo | frozenset(self._vertices[got[j]].tolist())
+                lam, lo, _ = probes[i]
+                k = lo | frozenset(self._vertices[got[j]].tolist())
                 cut = sum(src_flow[start:start + len(s.src)])
                 start += len(s.src)
-                phi = Fraction(cut * s.g - s.base, s.lam.denominator * self.denom) + len(s.lo)
-                self._check(s.lam, phi, k)
+                phi = Fraction(cut * s.g - s.base, lam.denominator * self.denom) + len(lo)
+                self._check(lam, phi, k)
                 arcs = len(s.src) + s.n_mid + s.n_free
-                results[i] = CutResult(s.lam, phi, k, route, arcs)
+                results[i] = CutResult(lam, phi, k, route, arcs)
         return results
 
     def _check(self, lam: Fraction, phi: Fraction, k: frozenset[int]) -> None:

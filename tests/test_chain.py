@@ -302,3 +302,22 @@ def test_top_check_fires_wherever_the_top_is_solved(second_round, monkeypatch):
     with pytest.raises(InvariantError, match=r"terminal multiplier .* force the full support"):
         nested_chain(h)
     assert (batches[1] > 1) == second_round
+
+
+def test_top_multiplier_follows_the_support_not_n(monkeypatch):
+    # at n = 10**9 a multiplier of (n + 1) / min weight pushed the top probe past int32
+    from chaincover import flows
+
+    edges = [({0, 1}, 1), ({1, 2}, 1), ({2}, 1)]
+    dinic_calls = []
+    max_flow_dinic = flows._max_flow_dinic
+
+    def counting(*args):
+        dinic_calls.append(1)
+        return max_flow_dinic(*args)
+
+    monkeypatch.setattr(flows, "_max_flow_dinic", counting)
+    small, large = (nested_chain(WeightedHypergraph.build(n, edges)) for n in (3, 10**9))
+    assert large == small
+    assert small.sets[-1] == frozenset({0, 1, 2})
+    assert dinic_calls == []

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -419,6 +420,41 @@ def test_fixed_context_validity_monte_carlo():
         hits += draws[t] <= fit.vertex_set
     sigma = math.sqrt(phi * (1 - phi) / reps)
     assert hits / reps >= float(phi) - 3 * sigma
+
+
+# 3-outcome test-draw distributions (n, [(outcome, probability)]) for the
+# exact fixed-context check
+_FIXED_DISTRIBUTIONS = {
+    "A": (2, [(frozenset({0}), Fraction(1, 2)), (frozenset({1}), Fraction(1, 3)),
+              (frozenset({0, 1}), Fraction(1, 6))]),
+    "B": (4, [(frozenset({0, 1}), Fraction(3, 5)), (frozenset({2}), Fraction(1, 5)),
+              (frozenset({1, 3}), Fraction(1, 5))]),
+}
+
+
+def _exact_fixed_coverage(n, outcomes, t, phi):
+    """P(test draw inside fixed_context_fit of t draws), all t + 1 draws i.i.d.,
+    summed exactly over every sequence of t draws."""
+    total = Fraction(0)
+    # product varies the last draws fastest, so runs of sequences share their
+    # first half and the fits share one chain
+    for seq in itertools.product(outcomes, repeat=t):
+        fit = fixed_context_fit([s for s, _ in seq], phi, n).vertex_set
+        total += math.prod(p for _, p in seq) * sum(p for s, p in outcomes if s <= fit)
+    return total
+
+
+@pytest.mark.parametrize("t", (2, 4, 6))
+@pytest.mark.parametrize("name", sorted(_FIXED_DISTRIBUTIONS))
+def test_fixed_context_coverage_is_exact(name, t):
+    n, outcomes = _FIXED_DISTRIBUTIONS[name]
+    pinned = {("A", 2, Fraction(1, 2)): Fraction(41, 54),
+              ("A", 6, Fraction(2, 3)): Fraction(132739, 139968),
+              ("B", 6, Fraction(2, 3)): Fraction(13698, 15625)}
+    for phi in (Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), Fraction(9, 10)):
+        coverage = _exact_fixed_coverage(n, outcomes, t, phi)
+        assert coverage >= phi
+        assert pinned.get((name, t, phi), coverage) == coverage
 
 
 def test_fixed_order_matches_the_recounting_greedy():

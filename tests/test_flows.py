@@ -292,11 +292,39 @@ def _packed_network(solver, probes):
     """The arcs, capacities and node count of ``probes`` packed into one
     max-flow call, and the sum of the blocks' ``inf`` bounds."""
     keep, free, mid, scales = solver._blocks(probes)
-    rows, cols, n = solver._pack(keep, free, mid)
-    caps = [c for s in scales for c in s.src]
-    caps += [s.inf for s in scales for _ in range(s.n_mid)]
-    caps += [s.sink for s in scales for _ in range(s.n_free)]
+    rows, cols, caps, _, n = solver._pack(keep, free, mid, scales)
     return rows, cols, caps, n, sum(s.inf for s in scales)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pack_lays_out_blocks_in_csr_order(seed):
+    dens = None if seed % 2 == 0 else tuple(range(2, 14))
+    h = zipf_hypergraph(900 + seed, 24, 60, dens=dens)
+    solver = LagrangianCutSolver(h)
+    probes = _bracket_probes(h, np.random.default_rng(seed), 6)
+    keep, free, mid, scales = solver._blocks(probes)
+    rows, cols, caps, vnode, n = solver._pack(keep, free, mid, scales)
+    assert len(scales) == 7
+    assert len(caps) == len(rows) == len(cols)
+    steps = np.diff(rows)
+    assert (steps >= 0).all()
+    assert (np.diff(cols)[steps == 0] > 0).all()
+    # the source arcs come first and carry each block's src, in block order
+    src = [c for s in scales for c in s.src]
+    assert rows[: len(src)].tolist() == [0] * len(src) and 0 not in rows[len(src):]
+    assert caps[: len(src)] == src
+    # the free vertices' nodes are the last ones, in row-major order
+    assert vnode[free].tolist() == list(range(n - free.sum(), n))
+    assert not vnode[~free].any()
+    # each block's hyperedge->vertex arcs carry its inf, its vertex->sink arcs its sink
+    caps = np.array(caps, dtype=object)
+    for j, s in enumerate(scales):
+        nodes = vnode[j][free[j]]
+        into = np.isin(cols, nodes)
+        assert (rows[into] > 0).all() and caps[into].tolist() == [s.inf] * s.n_mid
+        out = np.isin(rows, nodes)
+        assert (cols[out] == 1).all() and caps[out].tolist() == [s.sink] * s.n_free
+    assert sum(s.n_free for s in scales) == n - 2 - keep.sum()
 
 
 def _long_path_networks():
@@ -368,7 +396,7 @@ def test_solve_many_equals_single_solves(seed, monkeypatch):
 
     monkeypatch.setattr(flows, "_max_flow_dinic", counting)
     reference = solver.solve_many(probes, "dinic")
-    assert len(dinic_calls) == 1  # all probes of one call share one Dinic network
+    assert len(dinic_calls) == len(probes)
     assert {r.route for r in reference} == {"dinic"}
     assert [r.vertex_set for r in many] == [r.vertex_set for r in reference]
     assert [r.phi for r in many] == [r.phi for r in reference]

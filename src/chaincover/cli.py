@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from . import experiments as xp
 from .chain import NestedChain, nested_chain
@@ -21,6 +22,12 @@ from .io import canonical_json, check_writable, load_chain_or_instance, load_ins
 from .io import save_chain, write_result_csv
 
 _ENV_SEED = "CHAINCOVER_SEED"
+# the options each experiment kind reads; another one given on the command line is refused
+_EXPERIMENT_OPTIONS = {
+    "grid": ("seeds", "phi_grid"),
+    "trip": ("seeds", "phi_grid", "alpha"),
+    "adversarial": ("seeds", "path_len", "parallel", "eps", "kappa"),
+}
 
 
 def _seed(text: str) -> int:
@@ -148,6 +155,11 @@ def cmd_fixed(samples: str, phi: str) -> None:
 def cmd_experiment(kind: str, out: str, seeds: str | None, phi_grid: str | None,
                    alpha: float, path_len: int, parallel: int, eps: str, kappa: str) -> None:
     """Run a generator + methods sweep and write the result CSV to OUT."""
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        if (param.name not in ("kind", "out", *_EXPERIMENT_OPTIONS[kind])
+                and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE):
+            raise InputError(f"{param.opts[0]} does not apply to experiment {kind}")
     seed_list = _seeds_csv(seeds) if seeds else [_default_seed()]
     phis = _fractions_csv(phi_grid) if phi_grid else list(xp.default_phi_grid())
     check_writable(out)

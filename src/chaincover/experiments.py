@@ -24,6 +24,7 @@ from .hypergraph import (
     InputError,
     InvariantError,
     WeightedHypergraph,
+    _check_int,
     _is_int,
     as_fraction,
     check_vertex_ids,
@@ -55,29 +56,6 @@ def default_phi_grid() -> tuple[Fraction, ...]:
     return tuple(Fraction(j, 20) for j in range(1, 21))
 
 
-def _check_ints(cfg, *names: str) -> None:
-    """InputError unless each named field of ``cfg`` is an int, not a bool."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not _is_int(value):
-            raise InputError(f"{name} must be an int, got {value!r}")
-
-
-def _check_at_least(cfg, low: int, *names: str) -> None:
-    """InputError unless each named field of ``cfg`` is an int of at least ``low``."""
-    _check_ints(cfg, *names)
-    for name in names:
-        value = getattr(cfg, name)
-        if value < low:
-            raise InputError(f"{name} must be >= {low}, got {value}")
-
-
-def _check_seed(seed) -> None:
-    """InputError unless ``seed`` is a non-negative int, not a bool."""
-    if not _is_int(seed) or seed < 0:
-        raise InputError(f"seed must be a non-negative int, got {seed!r}")
-
-
 # ---------------------------------------------------------------- grid routing
 
 
@@ -92,16 +70,15 @@ class GridRoutingConfig:
     n_test: int = 50
 
     def __post_init__(self):
-        _check_ints(self, "side")
-        if self.side < 2:
-            raise InputError(f"grid needs side >= 2, got {self.side}")
+        _check_int(self.side, "side", 2)
         if not 0 <= self.bypass_share <= 1:
             raise InputError(f"bypass share must lie in [0, 1], got {self.bypass_share}")
         if not self.weight_low <= self.weight_high:
             raise InputError(
                 f"weight_low must be <= weight_high, got {self.weight_low} > {self.weight_high}"
             )
-        _check_at_least(self, 0, "bypass_len", "n_train", "n_test")
+        for name in ("bypass_len", "n_train", "n_test"):
+            _check_int(getattr(self, name), name)
 
     @property
     def n_grid_edges(self) -> int:
@@ -151,7 +128,7 @@ def gen_grid_routes(cfg: GridRoutingConfig, seed: int) -> GridData:
     """Route s of split tag takes the bypass when the first ``random()`` of
     stream (tag, s, 0) falls below the bypass share, else the shortest path
     under weights drawn from stream (tag, s, 1)."""
-    _check_seed(seed)
+    _check_int(seed, "seed")
     bypass = frozenset(range(cfg.n_grid_edges, cfg.n_vertices))
     routes = [(_TRAIN, s) for s in range(cfg.n_train)] + [(_TEST, s) for s in range(cfg.n_test)]
     coins = _first_random(first_words(seed, [(tag, s, 0) for tag, s in routes])).tolist()
@@ -180,8 +157,8 @@ class TripPlanConfig:
             raise InputError(f"core density must lie in (0, 1], got {self.core_density}")
         if not 0 < self.core_mass <= 1:
             raise InputError(f"core mass must lie in (0, 1], got {self.core_mass}")
-        _check_at_least(self, 1, "groups", "group_size")
-        _check_at_least(self, 0, "n_train", "n_test")
+        for name, low in (("groups", 1), ("group_size", 1), ("n_train", 0), ("n_test", 0)):
+            _check_int(getattr(self, name), name, low)
 
     @property
     def core_per_group(self) -> int:
@@ -216,7 +193,7 @@ def gen_trip_samples(cfg: TripPlanConfig, seed: int) -> TripData:
     first ``integers(0, k)`` of stream (tag, s, g, 1) then picks within that
     part of k activities.
     """
-    _check_seed(seed)
+    _check_int(seed, "seed")
     size, c = cfg.group_size, cfg.core_per_group
     core = frozenset(g * size + a for g in range(cfg.groups) for a in range(c))
     samples = [(_TRAIN, s) for s in range(cfg.n_train)] + [(_TEST, s) for s in range(cfg.n_test)]
@@ -283,6 +260,7 @@ def run_comparison(
     methods: Sequence[str],
     seed: int,
 ) -> list[ResultRow]:
+    _check_int(seed, "seed")
     phis = [as_fraction(p) for p in phi_grid]
     selectors = {
         "chain": lambda: chain_cover(n, train, test, phis),
@@ -333,12 +311,14 @@ def comparison_rows(kind: str, seeds: Sequence[int], phi_grid: Sequence,
 def adversarial_rows(a: int, b: int, eps, kappa, seeds: Sequence[int]) -> list[ResultRow]:
     """Chain selector vs reverse greedy on ``gen_adversarial(a, b, eps)`` at tau = 1 - eps.
 
-    Raises InputError, before any chain is built, unless b*eps < a*(1-eps)
-    (the singletons form the chain's first level) and (1+kappa)*eps < 1 (the
-    bound at tau rules out the empty set); then InvariantError unless the
-    chain keeps exactly the b singletons and reverse greedy at least the a
-    path vertices.
+    Raises InputError, before any chain is built, unless every seed is an
+    int >= 0, b*eps < a*(1-eps) (the singletons form the chain's first level)
+    and (1+kappa)*eps < 1 (the bound at tau rules out the empty set); then
+    InvariantError unless the chain keeps exactly the b singletons and
+    reverse greedy at least the a path vertices.
     """
+    for seed in seeds:
+        _check_int(seed, "seed")
     eps, kappa = as_fraction(eps), _check_kappa(kappa)
     h = gen_adversarial(a, b, eps)
     if not (b * eps < a * (1 - eps) and (1 + kappa) * eps < 1):

@@ -54,6 +54,11 @@ _MAX_EXPONENT = 4300
 # long, and ints of at most _SHORT_BITS bits, convert directly under any limit
 _SHORT_DIGITS = sys.int_info.str_digits_check_threshold
 _SHORT_BITS = 3 * _SHORT_DIGITS  # 2**(3d) < 10**d
+# a rational whose parts both pass 10**5 digits (an int of at most 10**5
+# digits has at most this many bits) is refused: Fraction reduces the parts
+# by math.gcd, which is quadratic (Python 3.11, 2-CPU Linux machine: 0.13 s
+# at 10**5 digits each, 0.49 s at 2 * 10**5 and 15 s at 10**6)
+_MAX_GCD_BITS = 332_193
 
 
 def _int_from_digits(digits: str) -> int:
@@ -94,7 +99,8 @@ def rational_from_text(text: str) -> Fraction:
     """``Fraction(text)`` with digit strings of any length.
 
     The digits are read as in ``_int_from_digits``; an exponent is read as
-    ``Fraction`` reads it, up to ``_MAX_EXPONENT`` in magnitude.
+    ``Fraction`` reads it, up to ``_MAX_EXPONENT`` in magnitude; numerator
+    and denominator may not both exceed ``_MAX_GCD_BITS``.
     """
     m = _RATIONAL.fullmatch(text)
     if m is None:
@@ -110,6 +116,8 @@ def rational_from_text(text: str) -> Fraction:
             numerator *= 10**exp
         else:
             denominator *= 10**-exp
+    if min(numerator, denominator).bit_length() > _MAX_GCD_BITS:
+        raise ValueError("numerator and denominator both exceed 10**5 digits")
     return Fraction(-numerator if sign == "-" else numerator, denominator)
 
 
@@ -145,12 +153,18 @@ def unit_fraction(value, what: str) -> Fraction:
     return x
 
 
+def _check_int(value, what: str, low: int = 0) -> None:
+    """InputError unless ``value`` is an int (not a bool) of at least ``low``:
+    the one rule of every count, size, budget and seed; ``what`` names it."""
+    if not _is_int(value):
+        raise InputError(f"{what} must be an int, got {value!r}")
+    if value < low:
+        raise InputError(f"{what} must be >= {low}, got {value}")
+
+
 def check_vertex_ids(n: int, vertex_sets: Iterable[Iterable[int]]) -> None:
     """Every vertex of every set is an int (not a bool) in [0, n), and n is an int >= 0."""
-    if not _is_int(n):
-        raise InputError(f"vertex count must be an int, got {n!r}")
-    if n < 0:
-        raise InputError(f"vertex count must be non-negative, got {n}")
+    _check_int(n, "vertex count")
     for vs in vertex_sets:
         for v in vs:
             if not _is_int(v) or not (0 <= v < n):

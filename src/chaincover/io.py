@@ -106,10 +106,8 @@ def check_writable(path: str | Path) -> None:
 
 
 def _hypergraph(doc: dict, where: str, weight) -> WeightedHypergraph:
-    """Hypergraph from the "n" and "edges" fields; ``weight(edge, where)`` reads one mass."""
-    n = doc.get("n")
-    if not _is_int(n) or n < 0:
-        raise InputError(f"{where}: 'n' must be a non-negative int")
+    """Hypergraph from the "n" and "edges" fields; ``weight(edge, where)`` reads
+    one mass, and ``WeightedHypergraph.build`` checks "n" as every vertex count."""
     edges = []
     for i, e in enumerate(_objects(doc, "edges", where)):
         at = f"{where}: edge {i}"
@@ -117,7 +115,7 @@ def _hypergraph(doc: dict, where: str, weight) -> WeightedHypergraph:
             raise InputError(f"{at} needs 'v'")
         edges.append((_vertex_list(e["v"], at), weight(e, at)))
     try:
-        return WeightedHypergraph.build(n, edges)
+        return WeightedHypergraph.build(doc.get("n"), edges)
     except InputError as exc:
         raise InputError(f"{where}: {exc}") from None
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import InputError, InvariantError, _is_int
+from .hypergraph import InputError, InvariantError, _check_int, _is_int
 from .rng import choice_weighted, randbelow
 
 __all__ = [
@@ -44,14 +44,6 @@ __all__ = [
 ]
 
 Move = tuple[int, int, tuple[str, int]]  # (successor, cost, edge key)
-
-
-def _check_budget(budget) -> None:
-    """A table's cost budget: an int (not a bool), at least 0."""
-    if not _is_int(budget):
-        raise InputError(f"budget must be an int, got {budget!r}")
-    if budget < 0:
-        raise InputError(f"budget must be non-negative, got {budget}")
 
 
 def _unit(budget: int) -> tuple[int, ...]:
@@ -131,7 +123,7 @@ def build_walk_table(
     path = tuple(path)
     if len(set(path)) != len(path) or not path:
         raise InputError("reference must be a nonempty simple path")
-    _check_budget(budget)
+    _check_int(budget, "budget")
     seen = set()
     for a, b in other_edges:
         if a == b:
@@ -200,7 +192,7 @@ def build_group_table(
     reference: Sequence[int],
     budget: int,
 ) -> GroupedDPTable:
-    _check_budget(budget)
+    _check_int(budget, "budget")
     groups = tuple(tuple(g) for g in groups)
     reference = tuple(reference)
     if len(reference) != len(groups):
@@ -291,7 +283,7 @@ def build_tree_table(
     reference: Sequence[int],
     budget: int,
 ) -> TreeDPTable:
-    _check_budget(budget)
+    _check_int(budget, "budget")
     parent = tuple(parent)
     n = len(parent)
     if not _is_int(root):

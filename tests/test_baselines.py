@@ -139,7 +139,7 @@ def test_reverse_peel_at_n_100000():
     (2.5, "vertex count must be an int, got 2.5"),
     (True, "vertex count must be an int, got True"),
     ("3", "vertex count must be an int, got '3'"),
-    (-1, "vertex count must be non-negative, got -1"),
+    (-1, "vertex count must be >= 0, got -1"),
 ])
 def test_reverse_greedy_vertex_count_is_checked(n, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):

@@ -488,6 +488,51 @@ def test_malformed_file_is_an_input_error(tmp_path, monkeypatch, capsys, args, d
     assert capsys.readouterr().err.startswith("input error:")
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 2.5, "edges": []}, "vertex count must be an int, got 2.5"),
+    ({"n": -1, "edges": []}, "vertex count must be >= 0, got -1"),
+    ({"edges": []}, "vertex count must be an int, got None"),
+], ids=["float", "negative", "missing"])
+def test_bad_vertex_count_is_an_input_error(tmp_path, monkeypatch, capsys, doc, message):
+    # the instance's n goes to WeightedHypergraph.build, which checks every vertex count
+    (tmp_path / "doc.json").write_text(json.dumps({**doc, "pairs": [{"a": [], "b": []}] * 2}))
+    monkeypatch.chdir(tmp_path)
+    for args, where in ((["chain", "doc.json", "out.json"], "instance"),
+                        (["fixed", "doc.json", "--phi", "1/2"], "instance"),
+                        (["calibrate", "doc.json", "--phi", "1/2"], "pairs file")):
+        monkeypatch.setattr(sys, "argv", ["chaincover", *args])
+        with pytest.raises(SystemExit) as stop:
+            main()
+        assert stop.value.code == 1
+        assert capsys.readouterr().err == f"input error: {where} doc.json: {message}\n"
+
+
+# each experiment option at its default value: given on the command line, it
+# is refused by the kinds that do not read it
+EXPERIMENT_OPTIONS = {"--seeds": "0", "--phi-grid": "1/2", "--alpha": "0.4", "--path-len": "30",
+                      "--parallel": "3", "--eps": "0.2", "--kappa": "1"}
+READ_BY = {
+    "grid": {"--seeds", "--phi-grid"},
+    "trip": {"--seeds", "--phi-grid", "--alpha"},
+    "adversarial": {"--seeds", "--path-len", "--parallel", "--eps", "--kappa"},
+}
+
+
+@pytest.mark.parametrize("kind, option", [
+    (kind, option) for kind, read in READ_BY.items() for option in EXPERIMENT_OPTIONS if option not in read
+])
+def test_experiment_option_of_another_kind_is_an_input_error(tmp_path, monkeypatch, capsys,
+                                                             kind, option):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["chaincover", "experiment", kind, "--out", "out.csv",
+                                      option, EXPERIMENT_OPTIONS[option]])
+    with pytest.raises(SystemExit) as stop:
+        main()
+    assert stop.value.code == 1
+    assert capsys.readouterr().err == f"input error: {option} does not apply to experiment {kind}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_bad_rational_list_is_an_input_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["chaincover", "experiment", "grid", "--out", "grid.csv",

@@ -342,6 +342,66 @@ def test_pipeline_marginal_coverage_monte_carlo():
     assert hits / n_test >= float(phi - delta) - 3 * sigma
 
 
+# One fixed universe; each outcome pairs the empty prediction with one of its
+# positive-weight hyperedges as the truth, drawn with the given probability.
+# A pair's distance is its truth's size, so d* is 1 or 2, and a family at
+# d* = 1 leaves out {2, 3}: that truth is then censored.
+_TWO_STAGE_UNIVERSE = WeightedHypergraph.build(4, [({0}, 8), ({1}, 4), ({2}, 2), ({2, 3}, 1)])
+_TWO_STAGE_OUTCOMES = [
+    (LabeledPair(frozenset(), e.vertices, _TWO_STAGE_UNIVERSE), p)
+    for e, p in zip(_TWO_STAGE_UNIVERSE.edges, [Fraction(3, 10)] * 3 + [Fraction(1, 10)])
+]
+
+
+def _multisets(m):
+    """Each multiset of m i.i.d. outcomes, as a list of pairs, with its multinomial probability."""
+    for combo in itertools.combinations_with_replacement(range(len(_TWO_STAGE_OUTCOMES)), m):
+        weight = Fraction(math.factorial(m))
+        for i in set(combo):
+            weight *= _TWO_STAGE_OUTCOMES[i][1] ** combo.count(i) / math.factorial(combo.count(i))
+        yield [_TWO_STAGE_OUTCOMES[i][0] for i in combo], weight
+
+
+def test_two_stage_coverage_is_exact():
+    # d1 (9 pairs), d2 (3 pairs) and the test pair are i.i.d.; every multiset
+    # of d1 and of d2 is enumerated with its exact probability.  Stage 1 at
+    # delta = 1/10 keeps the largest d1 distance, so d* is always finite
+    delta, kappa = Fraction(1, 10), Fraction(1)
+    d_star: dict[float, Fraction] = {}
+    d1_of: dict[float, list[LabeledPair]] = {}  # calibrate reads d1 through d* alone
+    for d1, weight in _multisets(9):
+        d = calibrate_stage1(d1, delta)
+        d_star[d] = d_star.get(d, 0) + weight
+        d1_of.setdefault(d, d1)
+    assert d_star == {1: Fraction(9, 10) ** 9, 2: 1 - Fraction(9, 10) ** 9}
+    # the test pair's chain, on its family built as stage 2 builds it, and its score
+    test_side = {}
+    for d in d_star:
+        for z, _ in _TWO_STAGE_OUTCOMES:
+            family = WeightedHypergraph(z.universe.n, tuple(
+                e for e in z.universe.edges if distance_edge_symdiff(z.prediction, e.vertices) <= d
+            ))
+            eta = calibrate_stage2([z], d, 1, kappa)[1][0]  # a score does not depend on phi
+            test_side[d, z] = nested_chain(family), eta
+    censored = sum(d_star[d] * p for d in d_star for z, p in _TWO_STAGE_OUTCOMES
+                   if test_side[d, z][1].censored)
+    assert censored == Fraction(9, 10) ** 9 / 10 and 0 < censored <= delta
+    pinned = {Fraction(1, 2): (Fraction(1609, 2500), Fraction(1606288056577, 2500000000000)),
+              Fraction(2, 3): (Fraction(4271, 5000), Fraction(8437009047481, 10000000000000))}
+    for phi in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)):
+        score_in = covered = Fraction(0)
+        for d, w1 in d_star.items():
+            for d2, w2 in _multisets(3):
+                state = calibrate(d1_of[d], d2, phi, delta, kappa)
+                for z, p in _TWO_STAGE_OUTCOMES:
+                    chain, eta = test_side[d, z]
+                    score_in += w1 * w2 * p * (eta.value <= state.tau_star)
+                    covered += w1 * w2 * p * (z.truth <= predict(chain, state))
+        assert score_in >= phi
+        assert covered >= phi - delta  # every truth is a positive-weight hyperedge
+        assert pinned.get(phi, (score_in, covered)) == (score_in, covered)
+
+
 # ------------------------------------------------------- fixed-context fit
 
 

@@ -314,7 +314,8 @@ def test_adversarial_size_order_message_kept():
     lambda seed: xp.comparison_rows("trip", [seed], ["1/2"]),
 ], ids=["trip", "grid", "grid-rows", "trip-rows"])
 def test_generator_seeds_must_be_non_negative_ints(generate, seed):
-    with pytest.raises(InputError, match=rf"^seed must be a non-negative int, got {re.escape(repr(seed))}$"):
+    message = "seed must be >= 0, got -1" if seed == -1 else f"seed must be an int, got {seed!r}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         generate(seed)
 
 
@@ -429,6 +430,24 @@ def test_run_comparison_rejects_out_of_range_training_ids(methods):
     # an evaluation sample past [0, n) is only never covered
     rows = xp.run_comparison(2, [frozenset({0, 1})], [frozenset({0, 9})], [1], methods, 0)
     assert {r.coverage for r in rows} == {0}
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    (2.5, "seed must be an int, got 2.5"),
+    (True, "seed must be an int, got True"),
+])
+def test_row_seeds_are_checked_before_any_chain(monkeypatch, seed, message):
+    # a row's seed column took -1, 2.5 and True as given
+    def no_chain(*args):
+        raise AssertionError("a chain was built before the seed was checked")
+
+    monkeypatch.setattr(xp, "nested_chain", no_chain)
+    monkeypatch.setattr(xp, "_sample_chain", no_chain)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        xp.run_comparison(5, TRAIN, TEST, ["1/2"], ("chain", "forward_greedy", "reverse_greedy"), seed)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        xp.adversarial_rows(6, 2, "1/4", 1, [0, seed])
 
 
 # sha256 of result_csv(comparison_rows(kind, [0, 1, 2], default_phi_grid())):

@@ -82,7 +82,7 @@ def test_vertex_count_must_be_an_int(n):
         assert str(caught.value) == message
     with pytest.raises(InputError) as caught:
         WeightedHypergraph.build(-1, [])
-    assert str(caught.value) == "vertex count must be non-negative, got -1"
+    assert str(caught.value) == "vertex count must be >= 0, got -1"
 
 
 def test_duplicate_edges_accumulate():
@@ -176,6 +176,28 @@ def test_million_digit_rational_text_reads_and_prints_in_seconds():
         "assert as_fraction('1' * 10**6) == repunit\n"
         "assert rational_to_text(Fraction(repunit)) == '1' * 10**6\n",
         timeout=30,
+    )
+
+
+def test_rationals_with_two_huge_parts_are_refused_before_the_gcd():
+    # Fraction reduced two random 10**6-digit parts by math.gcd in about 15 s;
+    # refused, the p/q form reads in about 1.7 s and the decimal in 0.9 s
+    run_child(
+        "import random\n"
+        "from chaincover.hypergraph import InputError, as_fraction\n"
+        "rnd = random.Random(52)\n"
+        "p, q = (''.join(rnd.choices('0123456789', k=10**6)) for _ in range(2))\n"
+        "for text in (f'1{p}/1{q}', f'0.{p}', f'-9{p[:10**5]}/9{q[:10**5]}', f'.9{p[:10**5]}'):\n"
+        "    try:\n"
+        "        as_fraction(text)\n"
+        "    except InputError as exc:\n"
+        "        assert str(exc).endswith(': numerator and denominator both exceed 10**5 digits')\n"
+        "    else:\n"
+        "        raise AssertionError(f'accepted {text[:20]}... of {len(text)} characters')\n"
+        "# parts of 10**5 digits each, or one short part, are read and reduced\n"
+        "as_fraction(f'9{p[:99999]}/7{q[:99999]}')\n"
+        "assert as_fraction(f'{p[:2 * 10**5]}/7') * 7 == as_fraction(p[:2 * 10**5])\n",
+        timeout=20,
     )
 
 

@@ -429,7 +429,7 @@ BUILDS = {
 @pytest.mark.parametrize("family", sorted(BUILDS))
 @pytest.mark.parametrize("budget, message", [
     *((b, f"budget must be an int, got {b!r}") for b in (2.5, 2.0, True, "2", None)),
-    (-1, "budget must be non-negative, got -1"),
+    (-1, "budget must be >= 0, got -1"),
 ])
 def test_budget_must_be_a_non_negative_int(family, budget, message):
     with pytest.raises(InputError, match=re.escape(message)):

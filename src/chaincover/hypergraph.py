@@ -59,6 +59,17 @@ _SHORT_BITS = 3 * _SHORT_DIGITS  # 2**(3d) < 10**d
 # by math.gcd, which is quadratic (Python 3.11, 2-CPU Linux machine: 0.13 s
 # at 10**5 digits each, 0.49 s at 2 * 10**5 and 15 s at 10**6)
 _MAX_GCD_BITS = 332_193
+_QUOTE_CHARS = 100
+
+
+def _quoted(value: object) -> str:
+    """``repr(value)``, or past ``_QUOTE_CHARS`` characters its first 60, its
+    last 20 and its length, so that a refused long input stays one short
+    error line."""
+    text = repr(value)
+    if len(text) <= _QUOTE_CHARS:
+        return text
+    return f"{text[:60]}...{text[-20:]} ({len(text)} characters)"
 
 
 def _int_from_digits(digits: str) -> int:
@@ -104,7 +115,7 @@ def rational_from_text(text: str) -> Fraction:
     """
     m = _RATIONAL.fullmatch(text)
     if m is None:
-        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        raise ValueError(f"Invalid literal for Fraction: {_quoted(text)}")
     sign, num, den, dec, exp = m.group("sign", "num", "den", "dec", "exp")
     dec = (dec or "").replace("_", "")
     numerator = _int_from_digits(num.replace("_", "") + dec)
@@ -141,8 +152,8 @@ def as_fraction(value) -> Fraction:
         if isinstance(value, str):
             return rational_from_text(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot interpret {value!r} as an exact rational: {exc}") from None
-    raise InputError(f"cannot interpret {value!r} as an exact rational")
+        raise InputError(f"cannot interpret {_quoted(value)} as an exact rational: {exc}") from None
+    raise InputError(f"cannot interpret {_quoted(value)} as an exact rational")
 
 
 def unit_fraction(value, what: str) -> Fraction:

@@ -22,11 +22,11 @@ arbitrary-precision bounds.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
+
+from .hypergraph import InputError, _is_int
 
 __all__ = ["stream", "first_words", "randbelow", "choice_weighted"]
 
@@ -180,21 +180,33 @@ def randbelow(gen: np.random.Generator, n: int) -> int:
     """Exact uniform integer in [0, n); n may exceed machine precision.
 
     Each try reads ceil(nbytes / 4) raw 32-bit words from the bit generator
-    and keeps the first nbytes of their little-endian bytes, which is what
-    ``gen.bytes(nbytes)`` returns and consumes, without its array round trip.
+    and keeps the first nbytes of their little-endian bytes, read big-endian
+    and shifted right by the excess bits, which is what ``gen.bytes(nbytes)``
+    returns and consumes, without its array round trip. A bound of at most
+    32 bits reads one word per try and reverses its bytes arithmetically; a
+    bound of 1 reads nothing. ``n`` must be an int (not a bool) of at least 1.
     """
-    if n <= 0:
-        raise ValueError(f"randbelow needs a positive bound, got {n}")
-    if n == 1:
-        return 0
-    bits = int(n - 1).bit_length()
-    nbytes = (bits + 7) // 8
-    nwords = (nbytes + 3) // 4
-    excess = nbytes * 8 - bits
+    if type(n) is not int and not _is_int(n):
+        raise InputError(f"randbelow needs an int bound, got {n!r}")
+    if n <= 1:
+        if n == 1:
+            return 0
+        raise InputError(f"randbelow needs a positive bound, got {n}")
+    bits = (n - 1).bit_length()
     bitgen = gen.bit_generator
     raw = bitgen.ctypes
     next_uint32, state = raw.next_uint32, raw.state
     with bitgen.lock:
+        if bits <= 32:  # the word's bytes reversed; the shift drops the unread ones too
+            excess = 32 - bits
+            while True:
+                w = next_uint32(state)
+                x = ((w & 0xFF) << 24 | (w & 0xFF00) << 8 | (w >> 8) & 0xFF00 | w >> 24) >> excess
+                if x < n:
+                    return x
+        nbytes = (bits + 7) // 8
+        nwords = (nbytes + 3) // 4
+        excess = nbytes * 8 - bits
         while True:
             word = next_uint32(state)
             for i in range(1, nwords):
@@ -205,6 +217,15 @@ def randbelow(gen: np.random.Generator, n: int) -> int:
 
 
 def choice_weighted(gen: np.random.Generator, weights: list[int]) -> int:
-    """Index drawn proportionally to non-negative integer weights, exactly: the
-    first whose running total exceeds a ``randbelow`` draw below the sum."""
-    return bisect_right(list(accumulate(weights)), randbelow(gen, sum(weights)))
+    """Index drawn proportionally to non-negative integer weights, exactly: one
+    ``randbelow`` draw x below the sum, then the first index whose weight,
+    subtracted from x in order, takes it below 0 (the first whose running
+    total exceeds x)."""
+    for w in weights:
+        if type(w) is not int and not _is_int(w) or w < 0:
+            raise InputError(f"choice_weighted needs non-negative int weights, got {w!r}")
+    x = randbelow(gen, sum(weights))
+    for i, w in enumerate(weights):
+        x -= w
+        if x < 0:
+            return i

@@ -11,10 +11,18 @@ integer draws, so the output distribution is uniform by construction:
 * subtrees: root-containing connected subtrees, cost 1 per node off the
   reference subtree.
 
-Each family's cell terms come from one function (``_walk_terms``,
-``_group_terms``, ``_child_terms``): the builder stores their sum, and a draw
-at that cell picks an index among the same terms.  Each builder computes
-every field of its table in one pass. A table's ``verify()`` rebuilds it from
+Each family's cell terms are defined by one function (``_walk_terms``,
+``_group_terms``, ``_child_terms``).  The walk and group builders sum it into
+each cell's total; the tree builder convolves each child's series into the
+suffix products, and each stored product equals the sum of its
+``_child_terms``.  A draw at a cell does not call the function: it makes one
+``randbelow`` draw x below the stored total, subtracts the same terms from x
+in the same order, and takes the first term that brings x below 0, the index
+``bisect_right`` over the running totals would give.  Terms that run out
+before x goes below 0 mean the stored total exceeds their sum, and the draw
+raises InvariantError.  Only each sampler's first draw, the one that picks the
+object's cost, goes through ``choice_weighted``.  Each builder computes every
+field of its table in one pass. A table's ``verify()`` rebuilds it from
 its own input fields with the same builder and compares every field, so a
 table that disagrees with its inputs fails it.
 """
@@ -64,6 +72,12 @@ def _verify(table, build, *inputs) -> None:
             raise InvariantError(f"{name}.{field.name} inconsistent with a rebuild from its inputs")
 
 
+def _overdrawn(table, cell) -> InvariantError:
+    """The error of a draw whose terms at ``cell`` ran out below its stored total."""
+    name = type(table).__name__
+    return InvariantError(f"{name} total at {cell} exceeds the sum of its terms")
+
+
 # ---------------------------------------------------------------- walks
 
 
@@ -102,7 +116,7 @@ def _walk_moves(path, other_edges) -> dict[int, tuple[Move, ...]]:
 def _walk_terms(counts, adjacency, u: int, k: int) -> tuple[list[Move], list[int]]:
     """The moves out of u of cost at most k, and the cell N[(v, k - c)] each reaches.
 
-    N[(u, k)] sums the cells for u != t; a walk draw at (u, k) picks a move by them.
+    N[(u, k)] sums the cells for u != t; a walk draw at (u, k) scans them in this order.
     """
     moves = [m for m in adjacency.get(u, ()) if m[1] <= k]
     return moves, [counts.get((v, k - c), 0) for v, c, _ in moves]
@@ -150,16 +164,24 @@ def build_walk_table(
 def sample_walk(table: WalkDPTable, gen: np.random.Generator) -> WalkSample:
     if table.partition <= 0:
         raise InputError("empty walk family")
+    counts, adjacency = table.counts, table.adjacency
     s = table.path[0]
-    budgets = [table.counts[(s, k)] for k in range(table.budget + 1)]
+    budgets = [counts[(s, k)] for k in range(table.budget + 1)]
     cost = k = choice_weighted(gen, budgets)
     u = s
     vertices = [u]
     keys: list[tuple[str, int]] = []
     t = table.path[-1]
     while u != t:
-        moves, weights = _walk_terms(table.counts, table.adjacency, u, k)
-        u, c, key = moves[choice_weighted(gen, weights)]
+        x = randbelow(gen, counts[(u, k)])
+        for v, c, key in adjacency.get(u, ()):  # the _walk_terms of (u, k)
+            if c <= k:
+                x -= counts.get((v, k - c), 0)
+                if x < 0:
+                    break
+        else:
+            raise _overdrawn(table, (u, k))
+        u = v
         k -= c
         vertices.append(u)
         keys.append(key)
@@ -183,7 +205,8 @@ class GroupedDPTable:
 
 def _group_terms(size: int, below: Sequence[int], k: int) -> list[int]:
     """Cost-k picks of a group of ``size`` above the row ``below``: keep the
-    reference at cost 0, or take one of the other size - 1 activities at cost 1."""
+    reference at cost 0, or take one of the other size - 1 activities at cost 1;
+    an itinerary draw at row r scans them in this order."""
     return [below[k], (size - 1) * below[k - 1] if k else 0]
 
 
@@ -212,15 +235,21 @@ def build_group_table(
 def sample_itinerary(table: GroupedDPTable, gen: np.random.Generator) -> tuple[int, ...]:
     if table.partition <= 0:
         raise InputError("empty itinerary family")
-    k = choice_weighted(gen, list(table.counts[0]))
+    counts, reference = table.counts, table.reference
+    k = choice_weighted(gen, list(counts[0]))
     picks: list[int] = []
     for r, group in enumerate(table.groups):
-        if choice_weighted(gen, _group_terms(len(group), table.counts[r + 1], k)) == 0:
-            picks.append(table.reference[r])
-        else:
-            others = [v for v in group if v != table.reference[r]]
-            picks.append(others[randbelow(gen, len(others))])
-            k -= 1
+        below = counts[r + 1]  # the _group_terms of (r, k): stay, then deviate
+        x = randbelow(gen, counts[r][k]) - below[k]
+        if x < 0:
+            picks.append(reference[r])
+            continue
+        if not k or x >= (len(group) - 1) * below[k - 1]:
+            raise _overdrawn(table, (r, k))
+        # one of the other activities, in group order
+        j = randbelow(gen, len(group) - 1)
+        picks.append(group[j + (j >= group.index(reference[r]))])
+        k -= 1
     return tuple(picks)
 
 
@@ -257,18 +286,29 @@ def _child_factor(row: Sequence[int]) -> tuple[int, ...]:
 
 def _child_terms(factor: Sequence[int], rest: Sequence[int], k: int) -> list[int]:
     """Ways to spend k on one child's series and its later siblings' product:
-    term j spends j on the child."""
+    term j spends j on the child.  ``_suffix_products`` stores their sum by a
+    convolution of its own, and a subtree draw scans them inline in this order."""
     return list(map(mul, factor[: k + 1], rest[k::-1]))  # factor[j] * rest[k - j]
 
 
 def _suffix_products(
     kids: Sequence[int], factors: Sequence[Sequence[int]], budget: int
 ) -> tuple[tuple[int, ...], ...]:
-    """Products of the child factors of kids[i:], for i = 0..len(kids)."""
+    """Products of the child factors of kids[i:], for i = 0..len(kids).
+
+    Entry k of each product is sum(_child_terms(factor, rest, k)); each nonzero
+    factor[j] adds its terms to every k >= j at once, and the zero entries, the
+    tail past what the child's subtree can spend, add nothing.
+    """
     suffixes = [_unit(budget)]
     for child in reversed(kids):
-        factor, rest = factors[child], suffixes[-1]
-        suffixes.append(tuple(sum(_child_terms(factor, rest, k)) for k in range(budget + 1)))
+        rest = suffixes[-1]
+        row = [0] * (budget + 1)
+        for j, f in enumerate(factors[child]):
+            if f:
+                for k in range(j, budget + 1):
+                    row[k] += f * rest[k - j]
+        suffixes.append(tuple(row))
     return tuple(reversed(suffixes))
 
 
@@ -343,11 +383,18 @@ def sample_subtree(table: TreeDPTable, gen: np.random.Generator) -> frozenset[in
             stack.pop()
             continue
         child = kids[i]
-        j = choice_weighted(gen, _child_terms(factors[child], suffixes[u][i + 1], k_rem))
+        factor, rest = factors[child], suffixes[u][i + 1]
+        x = randbelow(gen, suffixes[u][i][k_rem])
+        for j in range(k_rem + 1):  # the _child_terms of (u, i, k_rem)
+            x -= factor[j] * rest[k_rem - j]
+            if x < 0:
+                break
+        else:
+            raise _overdrawn(table, (u, i, k_rem))
         frame[1], frame[2] = i + 1, k_rem - j
-        # unit at zero means "skip"; an included zero-cost subtree carries
-        # counts[child][0] of the mass
-        if j == 0 and randbelow(gen, 1 + counts[child][0]) == 0:
+        # factor[0] = 1 + counts[child][0]: the unit means "skip", and an
+        # included zero-cost subtree carries counts[child][0] of the mass
+        if j == 0 and randbelow(gen, factor[0]) == 0:
             continue
         chosen.add(child)
         stack.append([child, 0, j - (0 if child in reference else 1)])

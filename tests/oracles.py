@@ -582,6 +582,59 @@ def child_step_reference(table, u: int, i: int, k_rem: int) -> list[int]:
     return weights
 
 
+# The three samplers as they drew before each step scanned its cell's terms
+# against the stored total: every step draws through choice_weighted_reference
+# over the old weight lists above.
+
+
+def walk_sample_reference(table, gen):
+    """(vertices, edge keys, cost) of a walk draw."""
+    s, t = table.path[0], table.path[-1]
+    cost = k = choice_weighted_reference(gen, [table.counts[(s, k)] for k in range(table.budget + 1)])
+    u, vertices, keys = s, [s], []
+    while u != t:
+        moves, weights = walk_step_reference(table, u, k)
+        u, c, key = moves[choice_weighted_reference(gen, weights)]
+        k -= c
+        vertices.append(u)
+        keys.append(key)
+    return tuple(vertices), tuple(keys), cost
+
+
+def itinerary_sample_reference(table, gen) -> tuple[int, ...]:
+    k = choice_weighted_reference(gen, list(table.counts[0]))
+    picks = []
+    for r, group in enumerate(table.groups):
+        if choice_weighted_reference(gen, group_step_reference(table, r, k)) == 0:
+            picks.append(table.reference[r])
+        else:
+            others = [v for v in group if v != table.reference[r]]
+            picks.append(others[randbelow(gen, len(others))])
+            k -= 1
+    return tuple(picks)
+
+
+def subtree_sample_reference(table, gen) -> frozenset[int]:
+    root = table.root
+    k = choice_weighted_reference(gen, list(table.counts[root]))
+    chosen = {root}
+    stack = [[root, 0, k - (0 if root in table.reference else 1)]]
+    while stack:
+        frame = stack[-1]
+        u, i, k_rem = frame
+        if i == len(table.children[u]):
+            stack.pop()
+            continue
+        child = table.children[u][i]
+        j = choice_weighted_reference(gen, child_step_reference(table, u, i, k_rem))
+        frame[1], frame[2] = i + 1, k_rem - j
+        if j == 0 and randbelow(gen, 1 + table.counts[child][0]) == 0:
+            continue
+        chosen.add(child)
+        stack.append([child, 0, j - (0 if child in table.reference else 1)])
+    return frozenset(chosen)
+
+
 # ---------------------------------------------------------------- generators
 
 

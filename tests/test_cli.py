@@ -576,6 +576,23 @@ def test_huge_exponents_are_input_errors_at_once(tmp_path, instance_file):
                    "exact rational: exponent magnitude exceeds 4300\nexit 1\n")
 
 
+def test_a_refused_long_rational_writes_a_short_error_line(tmp_path, monkeypatch, capsys):
+    # the weight's two 100,001-digit parts pass the digit limit but not the gcd
+    # bound; quoted in full, the error line was over 200,000 bytes long
+    weight = "9" * 100_001 + "/" + "7" * 100_001
+    (tmp_path / "doc.json").write_text(json.dumps({"n": 1, "edges": [{"v": [0], "w": weight}]}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["chaincover", "chain", "doc.json", "out.json"])
+    with pytest.raises(SystemExit) as stop:
+        main()
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: instance doc.json: ") and err.count("\n") == 1
+    assert "'99999" in err and "77777'" in err and f"({len(weight) + 2} characters)" in err
+    assert err.endswith("numerator and denominator both exceed 10**5 digits\n")
+    assert len(err) < 400
+
+
 def test_compress_past_a_loaded_top_set_is_an_input_error(monkeypatch, capsys,
                                                           short_top_chain_file):
     # at tau = 1 the bound is 0, and the loaded top set leaves residual 1

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -199,6 +200,23 @@ def test_rationals_with_two_huge_parts_are_refused_before_the_gcd():
         "assert as_fraction(f'{p[:2 * 10**5]}/7') * 7 == as_fraction(p[:2 * 10**5])\n",
         timeout=20,
     )
+
+
+@pytest.mark.parametrize("value, cause", [
+    ("9" * 100_001 + "/" + "7" * 100_001, ": numerator and denominator both exceed 10**5 digits"),
+    ("1" * 300 + "x", ": Invalid literal for Fraction: '111"),
+    ([1] * 300, ""),
+], ids=["gcd-bound", "bad-literal", "list"])
+def test_errors_quote_long_values_by_head_tail_and_length(value, cause):
+    with pytest.raises(InputError) as refused:
+        as_fraction(value)
+    message = str(refused.value)
+    assert message.startswith(f"cannot interpret {repr(value)[:60]}...{repr(value)[-20:]} "
+                              f"({len(repr(value))} characters) as an exact rational")
+    assert cause in message and len(message) < 300
+    # a short text is still quoted whole
+    with pytest.raises(InputError, match=re.escape("cannot interpret '1/0x' as an exact rational")):
+        as_fraction("1/0x")
 
 
 _DIGITS = st.from_regex(r"[0-9]{1,3}(_[0-9]{1,2})?", fullmatch=True)

@@ -1,9 +1,11 @@
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chaincover import InputError
 from chaincover.rng import _first_integers, _first_random, choice_weighted, first_words, randbelow, stream
 
 
@@ -54,6 +56,35 @@ def test_randbelow_bound_checks():
     ref = stream(36)
     assert randbelow(gen, 1) == 0
     assert gen.random() == ref.random()  # a bound of one draws nothing
+
+
+def test_randbelow_matches_bytes_at_every_bit_length_of_a_word():
+    # among them 2**8 and 2**8 + 1 (one byte, two), 2**24 and 2**24 + 1 (three
+    # bytes, four) and 2**32 and 2**32 + 1 (one word, two)
+    for n in [2**b + d for b in range(34) for d in (-1, 0, 1) if 2**b + d >= 1]:
+        for i in range(12):
+            ours, ref = stream(38, n, i), stream(38, n, i)
+            assert [randbelow(ours, n) for _ in range(5)] == [bytes_randbelow(ref, n) for _ in range(5)]
+            assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", [2.5, 3.7, 2.0, True, False, "3", None, Fraction(3)])
+def test_randbelow_refuses_a_bound_that_is_not_an_int(n):
+    gen, ref = stream(40), stream(40)
+    with pytest.raises(InputError, match=re.escape(f"randbelow needs an int bound, got {n!r}")):
+        randbelow(gen, n)
+    assert gen.random() == ref.random()  # refused before any word is read
+
+
+@pytest.mark.parametrize("weights, bad", [
+    ([3, -1, 5], -1), ([2.5, 1], 2.5), ([1, True], True), ([Fraction(1), 2], Fraction(1)), ([1, "2"], "2"),
+])
+def test_choice_weighted_refuses_weights_that_are_not_non_negative_ints(weights, bad):
+    gen, ref = stream(41), stream(41)
+    message = f"choice_weighted needs non-negative int weights, got {bad!r}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        choice_weighted(gen, weights)
+    assert gen.random() == ref.random()
 
 
 def test_choice_weighted_pinned():

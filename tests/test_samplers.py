@@ -29,6 +29,9 @@ from oracles import (
     enum_walks,
     exact_draws,
     group_step_reference,
+    itinerary_sample_reference,
+    subtree_sample_reference,
+    walk_sample_reference,
     walk_step_reference,
 )
 
@@ -414,6 +417,66 @@ def test_step_terms_are_the_old_weights_and_draw_the_same():
         assert randbelow(ours, n) == choice_weighted(old, [1] * n)
         assert (randbelow(ours, 1 + c) == 0) == (choice_weighted(old, [1, c]) == 0)
         assert ours.bit_generator.random_raw() == old.bit_generator.random_raw()
+
+
+# ------------------------------------------------ each step scans its stored total
+
+
+def _large_tables():
+    """One table per family whose totals pass 2**64."""
+    rnd = random.Random(64)
+    path = (0, 1, 2, 3)
+    free = [(a, b) for a in range(8) for b in range(a + 1, 8) if b != a + 1 or b > 3]
+    walk = build_walk_table(path, free, 23)
+    groups = [tuple(range(10 * g, 10 * g + 10)) for g in range(30)]
+    group = build_group_table(groups, [rnd.choice(g) for g in groups], 20)
+    parent = [0] + [rnd.randrange(v) for v in range(1, 160)]
+    tree = build_tree_table(parent, 0, {0}, 40)
+    return {"walk": walk, "group": group, "tree": tree}
+
+
+SAMPLERS = {
+    "walk": (_random_walk_table, lambda t, g: dataclasses.astuple(sample_walk(t, g)),
+             walk_sample_reference),
+    "group": (_random_group_table, sample_itinerary, itinerary_sample_reference),
+    "tree": (_random_tree_table, sample_subtree, subtree_sample_reference),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SAMPLERS))
+def test_steps_draw_as_the_reference_samplers(family):
+    # each output, and the word the generator gives next, is the old sampler's
+    random_table, ours, reference = SAMPLERS[family]
+    large = _large_tables()[family]
+    assert large.partition > 2**64
+    rnd = random.Random(29)
+    for case in range(240):
+        table = large if case % 3 == 0 else random_table(rnd)
+        gen, ref = stream(63, case), stream(63, case)
+        assert ours(table, gen) == reference(table, ref), case
+        assert gen.bit_generator.random_raw() == ref.bit_generator.random_raw()
+
+
+def _overdrawn_tables():
+    # a stored total 2**70 above the sum of its terms: the draw lands past the
+    # last term on all but a 2**-60 share of streams
+    walk = build_walk_table(PATH, FREE, 2)
+    counts = {**walk.counts, **{(0, k): walk.counts[(0, k)] + 2**70 for k in range(3)}}
+    yield pytest.param(lambda g: sample_walk(dataclasses.replace(walk, counts=counts), g), id="walk")
+    group = build_group_table([(0, 1, 2), (3, 4), (5, 6, 7)], (0, 3, 5), 2)
+    rows = (tuple(c + 2**70 for c in group.counts[0]),) + group.counts[1:]
+    yield pytest.param(lambda g: sample_itinerary(dataclasses.replace(group, counts=rows), g), id="group")
+    tree = build_tree_table(TREE_PARENT, 0, TREE_REF, 2)
+    root = (tuple(c + 2**70 for c in tree.suffixes[0][0]),) + tree.suffixes[0][1:]
+    suffixes = (root,) + tree.suffixes[1:]
+    yield pytest.param(lambda g: sample_subtree(dataclasses.replace(tree, suffixes=suffixes), g), id="tree")
+
+
+@pytest.mark.parametrize("draw", list(_overdrawn_tables()))
+def test_a_total_above_its_terms_is_an_invariant_error(draw):
+    for i in range(20):
+        with pytest.raises(InvariantError, match="exceeds the sum of its terms"):
+            draw(stream(64, i))
 
 
 # ------------------------------------------------ sizes go through the one int rule

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -174,15 +174,36 @@ def _check_int(value, what: str, low: int = 0) -> None:
 
 
 def check_vertex_ids(n: int, vertex_sets: Iterable[Iterable[int]]) -> None:
-    """Every vertex of every set is an int (not a bool) in [0, n), and n is an int >= 0."""
+    """Every vertex of every set is an int (not a bool) in [0, n), and n is an int >= 0.
+
+    The ids are read once; when each is exactly an ``int`` and the smallest and
+    largest lie in [0, n) they pass in one pass, else the scan over every
+    occurrence names the first bad one.
+    """
     _check_int(n, "vertex count")
-    for vs in vertex_sets:
-        for v in vs:
-            if not _is_int(v) or not (0 <= v < n):
-                raise InputError(f"vertex id {v!r} outside [0, {n})")
+    ids = list(chain.from_iterable(vertex_sets))
+    if not ids or set(map(type, ids)) == {int} and 0 <= min(ids) and max(ids) < n:
+        return
+    for v in ids:
+        if not _is_int(v) or not (0 <= v < n):
+            raise InputError(f"vertex id {v!r} outside [0, {n})")
 
 
-@dataclass(frozen=True)
+def _read_once(seen: dict, value, read, *args):
+    """``read(value, *args)`` once per distinct ``(type(value), value)`` held in
+    ``seen``, so equal values of one type share one result; an unhashable
+    value is read every time (``as_fraction`` refuses it)."""
+    key = type(value), value
+    try:
+        return seen[key]
+    except KeyError:
+        seen[key] = out = read(value, *args)
+        return out
+    except TypeError:
+        return read(value, *args)
+
+
+@dataclass(frozen=True, slots=True)
 class Hyperedge:
     vertices: frozenset[int]
     weight: Fraction
@@ -201,7 +222,13 @@ class WeightedHypergraph:
 
     @classmethod
     def build(cls, n: int, edges: Iterable[tuple[Sequence[int], object]]) -> "WeightedHypergraph":
-        out = cls(n=n, edges=tuple(Hyperedge(frozenset(v), as_fraction(w)) for v, w in edges))
+        """Hypergraph of (vertices, weight) pairs; a ``Fraction`` weight is kept as
+        given, any other is read by ``as_fraction`` once per distinct value."""
+        seen: dict = {}
+        out = cls(n=n, edges=tuple(
+            Hyperedge(frozenset(v), w if isinstance(w, Fraction) else _read_once(seen, w, as_fraction))
+            for v, w in edges
+        ))
         out.validate()
         return out
 

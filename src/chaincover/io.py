@@ -23,6 +23,7 @@ from .hypergraph import (
     InputError,
     WeightedHypergraph,
     _is_int,
+    _read_once,
     as_fraction,
     check_vertex_ids,
     rational_to_text as text,
@@ -67,7 +68,7 @@ def _frac(value: object, where: str) -> Fraction:
 
 
 def _vertex_list(value: object, where: str) -> list[int]:
-    if not isinstance(value, list) or not all(_is_int(v) for v in value):
+    if not isinstance(value, list) or not all(map(_is_int, value)):
         raise InputError(f"{where}: vertices must be a list of ints, got {value!r}")
     return value
 
@@ -106,14 +107,16 @@ def check_writable(path: str | Path) -> None:
 
 
 def _hypergraph(doc: dict, where: str, weight) -> WeightedHypergraph:
-    """Hypergraph from the "n" and "edges" fields; ``weight(edge, where)`` reads
-    one mass, and ``WeightedHypergraph.build`` checks "n" as every vertex count."""
-    edges = []
+    """Hypergraph from the "n" and "edges" fields; ``weight(edge, where)`` gives
+    one edge's raw mass, read once per distinct value in the file (an error
+    names the first edge that carries it), and ``WeightedHypergraph.build``
+    checks "n" as every vertex count."""
+    edges, seen = [], {}
     for i, e in enumerate(_objects(doc, "edges", where)):
         at = f"{where}: edge {i}"
         if "v" not in e:
             raise InputError(f"{at} needs 'v'")
-        edges.append((_vertex_list(e["v"], at), weight(e, at)))
+        edges.append((_vertex_list(e["v"], at), _read_once(seen, weight(e, at), _frac, at)))
     try:
         return WeightedHypergraph.build(doc.get("n"), edges)
     except InputError as exc:
@@ -132,10 +135,10 @@ def load_chain_or_instance(path: str | Path) -> NestedChain | WeightedHypergraph
 
 
 def _instance(doc: dict, where: str) -> tuple[WeightedHypergraph, list[str] | None]:
-    def weight(e: dict, at: str) -> Fraction:
+    def weight(e: dict, at: str) -> object:
         if "w" not in e:
             raise InputError(f"{at} needs 'w'")
-        return _frac(e["w"], at)
+        return e["w"]
 
     h = _hypergraph(doc, where, weight)
     labels = doc.get("vertices")
@@ -173,7 +176,7 @@ def load_pairs(path: str | Path) -> tuple[WeightedHypergraph, list[tuple[frozens
     """
     doc = _read_doc(path, "pairs file")
     where = f"pairs file {path}"
-    universe = _hypergraph(doc, where, lambda e, at: _frac(e.get("w", 1), at))
+    universe = _hypergraph(doc, where, lambda e, at: e.get("w", 1))
     pairs = []
     for i, p in enumerate(_objects(doc, "pairs", where)):
         at = f"{where}: pair {i}"

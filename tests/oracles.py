@@ -30,7 +30,7 @@ from chaincover import (
     fractional_solution,
 )
 from chaincover.compress import _check_kappa
-from chaincover.hypergraph import unit_fraction
+from chaincover.hypergraph import _check_int, _is_int, unit_fraction
 from chaincover.rng import randbelow, stream
 
 
@@ -48,6 +48,16 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def set_of(mask: int, n: int) -> frozenset[int]:
     return frozenset(v for v in range(n) if mask >> v & 1)
+
+
+def check_vertex_ids_reference(n: int, vertex_sets: Iterable[Iterable[int]]) -> None:
+    """The occurrence-by-occurrence id check: n is an int >= 0 and every vertex
+    of every set an int (not a bool) in [0, n); the first bad one is named."""
+    _check_int(n, "vertex count")
+    for vs in vertex_sets:
+        for v in vs:
+            if not _is_int(v) or not (0 <= v < n):
+                raise InputError(f"vertex id {v!r} outside [0, {n})")
 
 
 def mass_table(h: WeightedHypergraph) -> tuple[list[int], int]:

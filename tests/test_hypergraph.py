@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import enum
+import pickle
 import random
 import re
 import sys
@@ -24,6 +27,7 @@ from chaincover.hypergraph import (
 )
 
 from conftest import run_child
+from oracles import check_vertex_ids_reference
 
 
 def test_as_fraction_exact_forms():
@@ -345,3 +349,96 @@ def test_induced_weight_matches_plain_fraction_sum(edges, s):
     got = h.induced_weight(s)
     assert isinstance(got, Fraction)
     assert got == sum((e.weight for e in h.edges if e.vertices <= s), Fraction(0))
+
+
+class _Id(enum.IntEnum):
+    TWO = 2
+
+
+def _id_error(check, n, vertex_sets):
+    """The message ``check`` raises, or None."""
+    try:
+        check(n, vertex_sets)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+@given(
+    st.one_of(st.integers(0, 6), st.sampled_from([-1, True, 2.0])),
+    st.lists(
+        st.lists(st.one_of(st.integers(-3, 8), st.sampled_from([True, False, 1.0, _Id.TWO])), max_size=5),
+        max_size=6,
+    ),
+)
+def test_check_vertex_ids_names_the_first_bad_id_as_the_scan_did(n, sets):
+    # several bad ids, bools and floats equal to good ids, an IntEnum member
+    # (an int), empty sets, n = 0; both checks get a one-shot generator
+    want = _id_error(check_vertex_ids_reference, n, (list(s) for s in sets))
+    assert _id_error(check_vertex_ids, n, (list(s) for s in sets)) == want
+    assert _id_error(check_vertex_ids, n, sets) == want
+
+
+def test_check_vertex_ids_sees_true_after_an_equal_one():
+    # a set of the ids would keep 1 and drop the True
+    with pytest.raises(InputError, match=re.escape("vertex id True outside [0, 3)")):
+        check_vertex_ids(3, [[1], [True]])
+    with pytest.raises(InputError, match=re.escape("vertex id 1.0 outside [0, 3)")):
+        check_vertex_ids(3, iter([frozenset({1}), frozenset({2}), frozenset({1.0})]))
+    check_vertex_ids(3, iter([[_Id.TWO, 0], [], [2]]))
+    check_vertex_ids(0, [[], []])
+
+
+# the parent's hypergraph or exact error for edges ({0, 1}, 1), ({1}, w), ({0}, w)
+_UNIT = WeightedHypergraph(2, (
+    Hyperedge(frozenset({0, 1}), Fraction(1)), Hyperedge(frozenset({1}), Fraction(1)),
+    Hyperedge(frozenset({0}), Fraction(1)),
+))
+
+
+@pytest.mark.parametrize("w, want", [
+    (1, _UNIT),
+    (True, "cannot interpret True as an exact rational"),
+    (1.0, "float 1.0 is not exact; pass a string such as '3/10' or a Fraction"),
+    ("1", _UNIT),
+    ("2/2", _UNIT),
+    (Fraction(1), _UNIT),
+    ([1], "cannot interpret [1] as an exact rational"),
+    (-1, "negative hyperedge weight -1"),
+    ("-1/2", "negative hyperedge weight -1/2"),
+])
+def test_build_reads_each_weight_as_before(w, want):
+    edges = [({0, 1}, 1), ({1}, w), ({0}, w)]
+    if isinstance(want, str):
+        with pytest.raises(InputError) as info:
+            WeightedHypergraph.build(2, edges)
+        assert str(info.value) == want
+    else:
+        assert WeightedHypergraph.build(2, edges) == want
+
+
+def test_build_shares_equal_weights_and_keeps_fractions():
+    f = Fraction(1, 3)
+    h = WeightedHypergraph.build(3, [({0}, "1"), ({1}, "1"), ({2}, f), ({0, 1}, 1), ({1, 2}, "1/3")])
+    w = [e.weight for e in h.edges]
+    assert w[0] is w[1] and w[0] == 1
+    assert w[2] is f
+    assert w[3] == 1 and w[4] == f
+    assert WeightedHypergraph.build(3, [({0}, "1")]).edges[0].weight is not w[0]  # one call's memo
+
+
+def test_hyperedge_has_slots_and_behaves_as_a_value():
+    e = Hyperedge(frozenset({0, 2}), Fraction(3, 4))
+    assert not hasattr(e, "__dict__")
+    same = Hyperedge(frozenset({2, 0}), Fraction(6, 8))
+    assert e == same and hash(e) == hash(same)
+    assert e != Hyperedge(frozenset({0, 2}), Fraction(1, 4))
+    assert dataclasses.replace(e, weight=Fraction(1)) == Hyperedge(frozenset({0, 2}), Fraction(1))
+    with pytest.raises(InputError, match="negative hyperedge weight -1/2"):
+        dataclasses.replace(e, weight=Fraction(-1, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.weight = Fraction(1)
+    assert copy.deepcopy(e) == e
+    assert pickle.loads(pickle.dumps(e)) == e
+    h = WeightedHypergraph.build(3, [({0, 2}, "3/4"), ({1}, 0)])
+    assert pickle.loads(pickle.dumps(h)) == h == copy.deepcopy(h)

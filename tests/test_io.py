@@ -18,6 +18,7 @@ from chaincover.io import (
     canonical_json,
     load_chain,
     load_instance,
+    load_pairs,
     result_csv,
     save_chain,
     save_instance,
@@ -97,6 +98,42 @@ def test_instance_load_errors(tmp_path):
         bad.write_text(json.dumps(doc))
         with pytest.raises(InputError):
             load_instance(bad)
+
+
+def _refusal(load, path) -> str:
+    with pytest.raises(InputError) as info:
+        load(path)
+    return str(info.value)
+
+
+def test_pairs_file_defaults_a_missing_weight_but_refuses_null(tmp_path):
+    path = tmp_path / "pairs.json"
+    pairs = [{"a": [0], "b": [1]}, {"a": [1], "b": [0]}]
+    path.write_text(json.dumps({"n": 2, "edges": [{"v": [0]}, {"v": [1], "w": None}], "pairs": pairs}))
+    assert _refusal(load_pairs, path) == f"pairs file {path}: edge 1: cannot interpret None as an exact rational"
+    path.write_text(json.dumps({"n": 2, "edges": [{"v": [0]}, {"v": [1], "w": 1}], "pairs": pairs}))
+    universe, _, _ = load_pairs(path)
+    assert [e.weight for e in universe.edges] == [1, 1]
+
+
+def test_repeated_bad_weight_is_named_at_its_first_edge(tmp_path):
+    path = tmp_path / "inst.json"
+    edges = [{"v": [0], "w": "1"}, {"v": [1], "w": "1/0"}, {"v": [0], "w": "1"}, {"v": [1], "w": "1/0"}]
+    path.write_text(json.dumps({"n": 2, "edges": edges}))
+    assert _refusal(load_instance, path) == (
+        f"instance {path}: edge 1: cannot interpret '1/0' as an exact rational: "
+        "Fraction(1, 0)"
+    )
+
+
+def test_load_instance_equals_build_of_the_raw_weights(tmp_path):
+    raw = [([0, 1], "1"), ([1], 2), ([2], "1/2"), ([0], "0.25"), ([1, 2], "1"), ([2], 2),
+           ([0, 2], "3e-1"), ([], "1_0"), ([1], "2/4"), ([0], 0)]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"n": 3, "edges": [{"v": v, "w": w} for v, w in raw]}))
+    h, _ = load_instance(path)
+    assert h == WeightedHypergraph.build(3, raw)
+    assert h.edges[0].weight is h.edges[4].weight
 
 
 def test_chain_round_trip(tmp_path, three_path_instance):

@@ -16,10 +16,12 @@ The intervals are walked in rounds.  A round is the row of open brackets
 (lo, e(lo), hi, e(hi)) at one depth of the divide and conquer, kept from
 left to right (increasing lam).  Their probes are independent, so the round
 solves them all with one ``LagrangianCutSolver.solve_many`` call, which
-packs their networks into one scipy max-flow call while int32 holds them
-all.  A probe that finds its lower set closes its bracket, which leaves the
-row; one that finds a new set replaces its bracket by the two halves, in
-place, and a half one vertex wide is closed at once.  The closed brackets
+packs their networks into one max-flow call while int32 holds them all:
+scipy's, or Dinic's when the pack has at most ``flows._SCIPY_MIN_ARCS``
+arcs, as the rounds of narrow brackets often do.  A probe that finds its
+lower set closes its bracket, which leaves the row; one that finds a new
+set replaces its bracket by the two halves, in place, and a half one vertex
+wide is closed at once.  The closed brackets
 are sorted by lam once at the end, which puts the breakpoints in increasing
 order.  Nesting depth is bounded by memory, not by Python's recursion
 limit.  The induced weight of a set found by a probe is read off the probe

@@ -85,3 +85,15 @@ def short_top_chain_file(tmp_path) -> Path:
         "stats": [{"induced": "0"}, {"induced": "1", "residual": "1"}],
     }))
     return path
+
+
+@pytest.fixture
+def scipy_at_every_size(monkeypatch) -> None:
+    """Every pack that fits int32 takes the scipy route, however few its arcs.
+
+    By default a pack of at most ``flows._SCIPY_MIN_ARCS`` arcs is solved by
+    Dinic; tests that pin the scipy route on small instances use this.
+    """
+    from chaincover import flows
+
+    monkeypatch.setattr(flows, "_SCIPY_MIN_ARCS", 0)

@@ -90,8 +90,11 @@ def _record_routes(monkeypatch) -> list[str]:
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("method", ["scipy", "dinic", "auto"])
-def test_chain_matches_oracle_on_randoms(seed, method, monkeypatch):
-    # "scipy": the default method, whose probes must all take the scipy route here
+def test_chain_matches_oracle_on_randoms(seed, method, monkeypatch, request):
+    # "scipy": the default method with small packs kept on scipy, so every
+    # probe takes the scipy route here; "auto": the default size rule
+    if method == "scipy":
+        request.getfixturevalue("scipy_at_every_size")
     routes = _record_routes(monkeypatch)
     rng = np.random.default_rng(2000 + seed)
     for _ in range(4):
@@ -131,6 +134,7 @@ def test_validate_rejects_corruption(three_path_instance):
 
 
 @pytest.mark.parametrize("seed", range(4))
+@pytest.mark.usefixtures("scipy_at_every_size")
 def test_routes_agree_where_auto_mixes(seed, monkeypatch):
     # large prime denominators: some contracted probes fit int32, others do not
     h = zipf_hypergraph(400 + seed, 30, 60, dens=(101, 103, 107, 109, 113, 127, 131, 137))
@@ -141,6 +145,7 @@ def test_routes_agree_where_auto_mixes(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(3))
+@pytest.mark.usefixtures("scipy_at_every_size")
 def test_all_routes_agree_within_int32(seed, monkeypatch):
     h = zipf_hypergraph(300 + seed, 30, 70, dens=(2, 3, 5))
     chain = nested_chain(h, method="dinic")
@@ -172,6 +177,7 @@ def test_one_recount_per_probe(monkeypatch):
     assert calls["induced_weight"] == calls["solve"]
 
 
+@pytest.mark.usefixtures("scipy_at_every_size")
 def test_one_scipy_call_per_round(monkeypatch):
     import scipy.sparse.csgraph as csgraph
 
@@ -195,13 +201,64 @@ def test_one_scipy_call_per_round(monkeypatch):
     assert calls["maximum_flow"] == calls["solve_many"] < calls["probes"]
 
 
+
+def test_one_max_flow_call_per_round_small_ones_on_dinic(monkeypatch):
+    walk = _record_walk(monkeypatch)
+    chain = nested_chain(zipf_hypergraph(48, 48, 240))
+    assert len(chain.sets) >= 3
+    # every capacity fits int32: one call per round, the small rounds' on Dinic
+    assert walk["max_flow"] == len(walk["batches"])
+    assert 0 < walk["scipy"] < len(walk["batches"])
+
+
+def _record_probes(monkeypatch) -> list[tuple]:
+    """(lam, lo, hi, vertex_set, phi) of every probe solved from now on, in order."""
+    probes = []
+    solve_many = LagrangianCutSolver.solve_many
+
+    def recording(self, batch, method="auto"):
+        results = solve_many(self, batch, method)
+        probes.extend((*probe, r.vertex_set, r.phi) for probe, r in zip(batch, results))
+        return results
+
+    monkeypatch.setattr(LagrangianCutSolver, "solve_many", recording)
+    return probes
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", ["unit", "rational"])
+def test_size_rule_leaves_every_probe_unchanged(seed, shape, monkeypatch):
+    # the benchmark's two chain shapes: 48x240 unit weights, and 32x160 with
+    # weights a/b over small primes b
+    from chaincover import flows
+
+    if shape == "unit":
+        h = zipf_hypergraph(1100 + seed, 48, 240)
+    else:
+        h = zipf_hypergraph(1200 + seed, 32, 160, dens=(2, 3, 5, 7, 11, 13))
+    runs = {}
+    for run in ("default", "scipy at every size", "dinic"):
+        with monkeypatch.context() as patch:
+            if run == "scipy at every size":
+                patch.setattr(flows, "_SCIPY_MIN_ARCS", 0)
+            probes, routes = _record_probes(patch), _record_routes(patch)
+            chain = nested_chain(h, method="dinic" if run == "dinic" else "auto")
+            runs[run] = chain, probes, routes
+    (chain, probes, routes), *others = runs.values()
+    assert {"scipy", "dinic"} <= set(routes)
+    assert set(runs["dinic"][2]) == {"dinic"}
+    for other_chain, other_probes, _ in others:
+        assert other_chain == chain
+        assert other_probes == probes
+
+
 def _record_walk(monkeypatch) -> dict:
-    """Per call from now on: ``solve`` calls, ``solve_many`` batches and max-flow calls."""
+    """From now on: ``solve`` calls, ``solve_many`` batches, max-flow calls and scipy's share."""
     import scipy.sparse.csgraph as csgraph
 
     from chaincover import flows
 
-    walk = {"solve": 0, "batches": [], "max_flow": 0}
+    walk = {"solve": 0, "batches": [], "max_flow": 0, "scipy": 0}
     solve, solve_many = LagrangianCutSolver.solve, LagrangianCutSolver.solve_many
     maximum_flow, dinic = csgraph.maximum_flow, flows._max_flow_dinic
 
@@ -216,6 +273,7 @@ def _record_walk(monkeypatch) -> dict:
 
     def flowing(*args, **kwargs):
         walk["max_flow"] += 1
+        walk["scipy"] += 1
         return maximum_flow(*args, **kwargs)
 
     def dinic_flowing(*args, **kwargs):
@@ -271,8 +329,8 @@ def test_method_checked_on_every_instance(edges):
 
 
 def test_max_flow_calls_pinned(monkeypatch):
-    # zipf chains of the benchmark's two sizes, every probe on scipy; with the
-    # top probe solved alone and one-vertex brackets probed they took 44 calls
+    # zipf chains of the benchmark's two sizes, scipy and Dinic calls alike; with
+    # the top probe solved alone and one-vertex brackets probed they took 44 calls
     graphs = [zipf_hypergraph(900 + seed, 48, 240) for seed in range(4)]
     graphs += [zipf_hypergraph(950 + seed, 32, 160, dens=(2, 3, 5, 7, 11, 13)) for seed in range(4)]
     walk = _record_walk(monkeypatch)
@@ -304,6 +362,7 @@ def test_top_check_fires_wherever_the_top_is_solved(second_round, monkeypatch):
     assert (batches[1] > 1) == second_round
 
 
+@pytest.mark.usefixtures("scipy_at_every_size")
 def test_top_multiplier_follows_the_support_not_n(monkeypatch):
     # at n = 10**9 a multiplier of (n + 1) / min weight pushed the top probe past int32
     from chaincover import flows

@@ -66,6 +66,7 @@ def test_no_network_edges_is_trivial():
     assert res.phi == -4 * Fraction(1, 2)
 
 
+@pytest.mark.usefixtures("scipy_at_every_size")
 def test_auto_gate_routes_large_capacities_to_dinic(pair_edge):
     solver = LagrangianCutSolver(pair_edge)
     assert solver.solve(Fraction(1)).route == "scipy"
@@ -74,6 +75,7 @@ def test_auto_gate_routes_large_capacities_to_dinic(pair_edge):
     assert big.vertex_set == frozenset({0, 1})
 
 
+@pytest.mark.usefixtures("scipy_at_every_size")
 def test_forced_routes_agree(pair_edge):
     solver = LagrangianCutSolver(pair_edge)
     for lam in (Fraction(1, 3), Fraction(2), Fraction(9, 4)):
@@ -84,6 +86,7 @@ def test_forced_routes_agree(pair_edge):
 
 
 @pytest.mark.parametrize("seed", range(12))
+@pytest.mark.usefixtures("scipy_at_every_size")
 def test_routes_and_oracle_agree_on_randoms(seed):
     rng = np.random.default_rng(1000 + seed)
     for _ in range(5):
@@ -209,6 +212,7 @@ def test_dinic_augments_long_paths_without_recursion():
 
 
 @pytest.mark.parametrize("seed", range(3))
+@pytest.mark.usefixtures("scipy_at_every_size")
 def test_contracted_probe_equals_full_solve(seed):
     # 30 vertices is beyond the exhaustive oracle; the full network is the reference
     h = zipf_hypergraph(300 + seed, 30, 70, dens=(2, 3, 5))
@@ -373,6 +377,7 @@ def _facts(result):
 
 
 @pytest.mark.parametrize("seed", range(6))
+@pytest.mark.usefixtures("scipy_at_every_size")
 def test_solve_many_equals_single_solves(seed, monkeypatch):
     from chaincover import flows
 
@@ -435,3 +440,81 @@ def test_packs_split_at_the_int32_limit(monkeypatch):
     assert [_facts(r) for r in split] == [_facts(r) for r in whole]
     assert {r.route for r in split} == {"scipy"}
     assert nested_chain(h) == chain
+
+
+def _path(n):
+    """The unit-weight path on n vertices: its full network has 4n - 3 arcs."""
+    return WeightedHypergraph.build(n, [((i, i + 1), 1) for i in range(n - 1)])
+
+
+def _count_dinic_calls(monkeypatch):
+    from chaincover import flows
+
+    calls = []
+    max_flow_dinic = flows._max_flow_dinic
+
+    def counting(*args):
+        calls.append(1)
+        return max_flow_dinic(*args)
+
+    monkeypatch.setattr(flows, "_max_flow_dinic", counting)
+    return calls
+
+
+def test_packs_at_or_below_the_cutoff_take_dinic(monkeypatch):
+    from chaincover import flows
+
+    scipy_calls, dinic_calls = _count_scipy_calls(monkeypatch), _count_dinic_calls(monkeypatch)
+    # the largest path whose full network is at most the cutoff, and the next one
+    n = (flows._SCIPY_MIN_ARCS + 3) // 4
+    small, large = LagrangianCutSolver(_path(n)), LagrangianCutSolver(_path(n + 1))
+    at = small.solve(Fraction(1))
+    assert at.arcs <= flows._SCIPY_MIN_ARCS < at.arcs + 4
+    assert (at.route, len(dinic_calls), len(scipy_calls)) == ("dinic", 1, 0)
+    above = large.solve(Fraction(1))
+    assert above.arcs == at.arcs + 4
+    assert (above.route, len(dinic_calls), len(scipy_calls)) == ("scipy", 1, 1)
+    # several small blocks share one Dinic call, as they would share scipy's
+    dinic_calls.clear()
+    lams = (Fraction(1, 3), Fraction(1), Fraction(3))
+    packed = LagrangianCutSolver(_path(8)).solve_many([(lam, frozenset(), None) for lam in lams])
+    assert sum(r.arcs for r in packed) <= flows._SCIPY_MIN_ARCS
+    assert {r.route for r in packed} == {"dinic"} and len(dinic_calls) == 1
+    assert len(scipy_calls) == 1
+
+
+def test_cutoff_is_inclusive(monkeypatch):
+    from chaincover import flows
+
+    h = zipf_hypergraph(48, 48, 240)
+    solver = LagrangianCutSolver(h)
+    probes = _bracket_probes(h, np.random.default_rng(7), 10)
+    scipy_calls, dinic_calls = _count_scipy_calls(monkeypatch), _count_dinic_calls(monkeypatch)
+    arcs = len(_packed_network(solver, probes)[2])
+    monkeypatch.setattr(flows, "_SCIPY_MIN_ARCS", arcs)
+    at = solver.solve_many(probes)
+    assert (len(dinic_calls), len(scipy_calls)) == (1, 0)
+    assert {r.route for r in at} == {"dinic"} and sum(r.arcs for r in at) == arcs
+    monkeypatch.setattr(flows, "_SCIPY_MIN_ARCS", arcs - 1)
+    above = solver.solve_many(probes)
+    assert (len(dinic_calls), len(scipy_calls)) == (1, 1)
+    assert {r.route for r in above} == {"scipy"}
+    assert [(r.vertex_set, r.phi) for r in at] == [(r.vertex_set, r.phi) for r in above]
+
+
+def test_probes_past_int32_keep_their_own_dinic_calls(monkeypatch):
+    from chaincover import flows
+
+    scipy_calls, dinic_calls = _count_scipy_calls(monkeypatch), _count_dinic_calls(monkeypatch)
+    lams = (Fraction(1), Fraction(2**33), Fraction(2), Fraction(2**33 + 1))
+    probes = [(lam, frozenset(), None) for lam in lams]
+    # a scipy pack of two blocks above the cutoff, and two probes past int32
+    solver = LagrangianCutSolver(_path(flows._SCIPY_MIN_ARCS // 4 + 2))
+    results = solver.solve_many(probes)
+    assert [r.route for r in results] == ["scipy", "dinic", "scipy", "dinic"]
+    assert (len(dinic_calls), len(scipy_calls)) == (2, 1)
+    # the same with a pack small enough for Dinic: it takes one more call
+    dinic_calls.clear()
+    results = LagrangianCutSolver(_path(8)).solve_many(probes)
+    assert {r.route for r in results} == {"dinic"}
+    assert (len(dinic_calls), len(scipy_calls)) == (3, 1)
